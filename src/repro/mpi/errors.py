@@ -62,6 +62,11 @@ class WorldAbortedError(MPIError):
         self.errorcode = errorcode
         self.origin = origin
 
+    def __reduce__(self):
+        # Custom __init__ signature (see RankCrashedError): process ranks
+        # ship this across when the launcher aborts them.
+        return (type(self), (self.errorcode, self.origin))
+
 
 class RankFailedError(MPIError):
     """One or more ranks raised an exception during an SPMD run.

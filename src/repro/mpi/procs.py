@@ -44,6 +44,12 @@ about to block (receive, collective, ack wait), and at rank-body end.
 Batching turns itself off while a fault injector is armed, because fault
 rules are keyed to per-edge message ordinals.
 
+Launch: a forked rank imports nothing between fork and its body — the
+parent resolves the armed fault plan before forking — and reports once,
+on a pipe of its own.  The launcher waits on those pipes and on the rank
+processes' sentinels, so a rank that fails (or exits without a report)
+is seen at once, and the survivors are sent an ``abort`` envelope.
+
 Requires a ``fork``-capable platform (rank bodies may be closures, which
 fork inherits but pickle cannot ship).
 """
@@ -54,6 +60,7 @@ import multiprocessing
 import os
 import pickle
 import queue as _queue_mod
+import sys
 import time
 from typing import Any, Callable, Sequence
 
@@ -75,6 +82,7 @@ from .errors import (
     MPIError,
     RankFailedError,
     TruncationError,
+    WorldAbortedError,
 )
 from .message import BufferHandle
 from .ops import SUM, Op
@@ -136,7 +144,7 @@ class ProcComm:
         self._coll: list[tuple[int, int, Any]] = []
         self._coll_seq = 0
         #: Fault injector (``repro.testkit``); armed by ``_rank_main`` when
-        #: the forked child inherited an active plan.
+        #: the launching parent had a plan armed.
         self._injector = None
         #: Per-destination coalescing buffers for small envelopes.
         self._batch_limit = _batch_limit()
@@ -184,13 +192,19 @@ class ProcComm:
             raise InvalidRankError(peer, self._size, what)
 
     def _file(self, kind: str, src: int, key: int, payload: Any) -> None:
-        """Sort one received envelope into the matching buffer."""
+        """Sort one received envelope into the matching buffer.
+
+        An ``abort`` envelope comes from the launcher once another rank
+        has failed (payload: that rank); this rank then fails as well.
+        """
         if kind == "p2p":
             self._p2p.append((src, key, payload))
         elif kind == "coll":
             self._coll.append((src, key, payload))
         elif kind == "ack":
             self._acks[payload] = self._acks.get(payload, 0) + 1
+        elif kind == "abort":
+            raise WorldAbortedError(origin=payload)
         else:  # a coalesced batch: payload is [(kind, key, payload), ...]
             for inner_kind, inner_key, inner_payload in payload:
                 self._file(inner_kind, src, inner_key, inner_payload)
@@ -950,13 +964,21 @@ def _rank_main(
     args: tuple,
     kwargs: dict,
     inboxes: list[Any],
-    results: Any,
+    report: Any,
     hostname: str,
     deadlock_timeout: float | None,
+    fault_plan: Any,
 ) -> None:
+    """Body of one forked rank: run ``fn`` and send one report to the parent.
+
+    Imports nothing: everything it needs was loaded in the parent before
+    the fork, and ``repro.testkit.faults`` only when ``fault_plan`` is set.
+    The report is ``(ok, value or exception, forwarded events,
+    serialization totals)`` on the rank's own pipe.
+    """
     # Re-home any fork-inherited recorder: events this rank emits are
-    # recorded locally and shipped back as the 4th result-tuple element
-    # (they would otherwise land in a dead copy of the parent's buffer).
+    # recorded locally and shipped back in the report (they would
+    # otherwise land in a dead copy of the parent's buffer).
     from ..obs.recorder import adopt_forked_recorder, collect_forwarded
 
     rank_rec = adopt_forked_recorder(("rank", rank))
@@ -964,30 +986,20 @@ def _rank_main(
     # totals shipped back cover this rank's own traffic only.
     _serial.reset_serialized()
     comm = ProcComm(rank, size, inboxes, hostname, deadlock_timeout)
-    # A fault plan armed in the parent rides across fork as a module global
-    # (lazy import: testkit depends on this package, not vice versa).
-    from ..testkit.faults import FaultInjector, active_fault_plan
+    if fault_plan:
+        from ..testkit.faults import FaultInjector
 
-    plan = active_fault_plan()
-    if plan:
-        comm._injector = FaultInjector(plan)
+        comm._injector = FaultInjector(fault_plan)
     try:
         value = fn(comm, *args, **kwargs)
+        ok = True
     except BaseException as exc:  # noqa: BLE001 - reported to the parent
         try:
             pickle.dumps(exc)
-            payload: Any = exc
+            value = exc
         except Exception:
-            payload = _RemoteRankError(f"{type(exc).__name__}: {exc}")
-        try:
-            comm._finalize()
-        except Exception:
-            pass
-        results.put(
-            (rank, False, payload, collect_forwarded(rank_rec),
-             _serial.serialized_totals())
-        )
-        return
+            value = _RemoteRankError(f"{type(exc).__name__}: {exc}")
+        ok = False
     try:
         comm._finalize()
     except Exception:
@@ -995,12 +1007,26 @@ def _rank_main(
     forwarded = collect_forwarded(rank_rec)
     totals = _serial.serialized_totals()
     try:
-        results.put((rank, True, value, forwarded, totals))
+        report.send((ok, value, forwarded, totals))
     except Exception as exc:  # unpicklable rank result
-        results.put(
-            (rank, False, _RemoteRankError(f"unpicklable result: {exc}"),
-             forwarded, totals)
+        report.send(
+            (False, _RemoteRankError(f"unpicklable result: {exc}"), forwarded, totals)
         )
+
+
+#: Once a rank has failed, how long the survivors get to act on the abort
+#: envelope before the launcher terminates them.
+_ABORT_GRACE_S = 2.0
+
+
+def _armed_fault_plan() -> Any:
+    """The fault plan armed in this process, if any.
+
+    A plan can only be armed once ``repro.testkit.faults`` is loaded, so
+    it is read through ``sys.modules`` — launching never imports it.
+    """
+    faults = sys.modules.get("repro.testkit.faults")
+    return faults.active_fault_plan() if faults is not None else None
 
 
 def run_procs(
@@ -1017,7 +1043,13 @@ def run_procs(
     call shape, same per-rank return list, but each rank owns an OS
     process (and a core, when the host has them).  Raises
     :class:`DeadlockError` when ranks stop making progress and
-    :class:`RankFailedError` when a rank raises.
+    :class:`RankFailedError` when a rank raises or its process dies.
+
+    The first failure — a rank reporting an exception, or exiting without
+    a report — puts an ``abort`` envelope in every running rank's inbox,
+    so survivors blocked in a receive fail at once instead of waiting out
+    the deadlock watchdog.  :class:`RankFailedError` names only the ranks
+    that failed first, not the survivors the abort took down.
     """
     if np < 1:
         raise ValueError(f"process count must be positive, got {np}")
@@ -1028,7 +1060,8 @@ def run_procs(
         )
     ctx = multiprocessing.get_context("fork")
     inboxes = [ctx.Queue() for _ in range(np)]
-    results_q = ctx.Queue()
+    reports = [ctx.Pipe(duplex=False) for _ in range(np)]
+    fault_plan = _armed_fault_plan()
     procs = [
         ctx.Process(
             target=_rank_main,
@@ -1039,15 +1072,18 @@ def run_procs(
                 args,
                 kwargs,
                 inboxes,
-                results_q,
+                reports[rank][1],
                 hostname,
                 deadlock_timeout,
+                fault_plan,
             ),
             name=f"mpi-proc-rank-{rank}",
             daemon=True,
         )
         for rank in range(np)
     ]
+    from multiprocessing.connection import wait
+
     from ..obs.recorder import active as _obs_active
     from ..obs.recorder import ingest_forwarded as _obs_ingest
 
@@ -1055,8 +1091,8 @@ def run_procs(
     for p in procs:
         p.start()
 
-    # Drain results *before* joining: a child flushing a large result into a
-    # full pipe would otherwise deadlock against a parent stuck in join().
+    # Drain reports *before* joining: a child sending a large result into
+    # a full pipe would otherwise deadlock against a parent stuck in join().
     results: list[Any] = [None] * np
     failures: dict[int, BaseException] = {}
     budget = (deadlock_timeout or 30.0) * 4
@@ -1066,49 +1102,55 @@ def run_procs(
         while pending:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
+                if failures:  # survivors ignored the abort: terminated below
+                    break
                 raise DeadlockError(
                     f"ranks {sorted(pending)} did not finish within {budget}s"
                 )
-            try:
-                rank, ok, payload, forwarded, serialized = results_q.get(
-                    timeout=min(remaining, 0.5)
-                )
-                _serial.merge_serialized(serialized)
-                if forwarded is not None and _obs_active() is not None:
-                    _obs_ingest(forwarded, launch_ts)
-            except _queue_mod.Empty:
-                if any(p.exitcode not in (None, 0) for p in procs):
-                    dead = [r for r, p in enumerate(procs) if p.exitcode not in (None, 0)]
-                    raise RankFailedError(
-                        {
-                            r: _RemoteRankError(
-                                f"rank process exited with code {procs[r].exitcode}"
-                            )
-                            for r in dead
-                        }
+            watched = {reports[r][0]: r for r in pending}
+            watched.update({procs[r].sentinel: r for r in pending})
+            for rank in {watched[obj] for obj in wait(list(watched), remaining)}:
+                reader = reports[rank][0]
+                report = reader.recv() if reader.poll() else None
+                pending.discard(rank)
+                if report is None:  # the process ended without a report
+                    procs[rank].join()
+                    failures[rank] = _RemoteRankError(
+                        f"rank process exited with code {procs[rank].exitcode}"
                     )
-                continue
-            pending.discard(rank)
-            if ok:
-                results[rank] = payload
-            else:
-                failures[rank] = payload
+                else:
+                    ok, payload, forwarded, serialized = report
+                    _serial.merge_serialized(serialized)
+                    if forwarded is not None and _obs_active() is not None:
+                        _obs_ingest(forwarded, launch_ts)
+                    if ok:
+                        results[rank] = payload
+                        continue
+                    failures[rank] = payload
+                if len(failures) == 1:
+                    deadline = min(deadline, time.monotonic() + _ABORT_GRACE_S)
+                    for r in pending:
+                        inboxes[r].put(("abort", -1, 0, rank))
     finally:
+        for r in pending:  # never reported: out of time, or the launch was interrupted
+            procs[r].terminate()
         for p in procs:
             p.join(timeout=2.0)
-        for p in procs:
             if p.is_alive():
                 p.terminate()
                 p.join(timeout=2.0)
-        for q in inboxes + [results_q]:
+        for reader, writer in reports:
+            reader.close()
+            writer.close()
+        for q in inboxes:
             q.cancel_join_thread()
             q.close()
 
     if failures:
-        deadlocks = {
-            r: e for r, e in failures.items() if isinstance(e, DeadlockError)
-        }
-        if deadlocks and len(deadlocks) == len(failures):
-            raise next(iter(deadlocks.values()))
-        raise RankFailedError(failures)
+        primary = {
+            r: e for r, e in failures.items() if not isinstance(e, WorldAbortedError)
+        } or failures
+        if all(isinstance(e, DeadlockError) for e in primary.values()):
+            raise next(iter(primary.values()))
+        raise RankFailedError(primary)
     return results

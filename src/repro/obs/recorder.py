@@ -20,7 +20,7 @@ backends already have (no new channels):
   result, and the parent unwraps + merges (``openmp.backends``).
 * **MPI process ranks** — ``procs._rank_main`` re-homes the fork-inherited
   recorder onto the child rank (:func:`adopt_forked_recorder`) and ships
-  the captured events back as an extra element of the result-queue tuple;
+  the captured events back as an extra element of the rank's report;
   ``run_procs`` merges them into the parent's active recorder.
 
 Clock-offset correction: fork shares ``CLOCK_MONOTONIC``, so worker and

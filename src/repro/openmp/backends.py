@@ -4,35 +4,48 @@ The thread backend gives the teaching runtime its *concurrency* semantics
 (real races, real locks) but — Python threads being GIL-bound — no
 wall-clock speedup for CPU-bound loop bodies.  This module adds the
 *parallelism* half: a ``"processes"`` backend that runs worksharing loops
-on a persistent :mod:`multiprocessing` worker pool, so the handout's
-benchmarking study measures genuine multicore scaling.
+on a persistent pool of worker processes, so the handout's benchmarking
+study measures genuine multicore scaling.
 
 Design points:
 
 * **Chunk tasks, not per-index closures.**  Work ships to the pool as
   *batches of indices* ``(lo, hi)``; the loop over the batch runs inside
-  the worker.  One pickle round-trip per chunk instead of per iteration.
-* **Picklable kernels.**  Anything crossing the process boundary must
-  pickle: loop bodies and chunk kernels must be module-level functions (or
-  :func:`functools.partial` over them).  A closure raises
-  :class:`BackendUnavailable` with a pointed message rather than a bare
-  ``PicklingError``.
-* **Persistent pool.**  The first process-backend loop forks the pool;
-  subsequent loops reuse it (grown on demand), so per-loop overhead is a
-  few pipe writes, not ``fork``+``exec``.
+  the worker.  One pipe round-trip per chunk instead of per iteration.
+* **Picklable kernels, pickled once.**  Anything crossing the process
+  boundary must pickle: loop bodies and chunk kernels must be module-level
+  functions (or :func:`functools.partial` over them).  The kernel is
+  pickled once per call — that pickle is also the check, so a closure
+  raises :class:`BackendUnavailable` with a pointed message rather than a
+  bare ``PicklingError`` — and crosses each worker's pipe once, with that
+  worker's first batch; later batches carry only ``(lo, hi)`` (and the
+  names of segments retired since the worker's previous batch).
+* **Persistent pool, parent-side dispatch.**  The first process-backend
+  loop forks the workers, each owning one duplex pipe; later loops reuse
+  them (grown on demand).  The parent hands the next batch to whichever
+  worker answers first and stores results by batch index, with no
+  manager or feeder thread in between.  A worker that dies surfaces as
+  :class:`BackendUnavailable` (its pipe reads EOF, or its process
+  sentinel fires) rather than a hang.
 * **Shared-memory arrays.**  :class:`SharedArray` wraps
   :mod:`multiprocessing.shared_memory` behind a picklable handle, so NumPy
   exemplars can let workers write results in place instead of shipping
-  arrays back through pickles.
+  arrays back through pickles.  A segment the parent unlinks is retired
+  from every worker's attachment cache with that worker's next task.
+
+``docs/performance.md`` ("Process backends: what a chunk and a launch
+cost") walks through the protocol and its measured costs.
 """
 
 from __future__ import annotations
 
-import atexit
+import contextlib
 import functools
 import multiprocessing
 import os
 import pickle
+import signal
+import threading
 import time
 from typing import Any, Callable, Sequence
 
@@ -69,54 +82,154 @@ def resolve_backend(backend: str | None) -> str:
 # ---------------------------------------------------------------------------
 # Persistent worker pool
 # ---------------------------------------------------------------------------
-# A ProcessPoolExecutor rather than multiprocessing.Pool: when a worker dies
-# mid-task (e.g. a payload that pickled fine in the parent but fails to
-# resolve in the worker), the executor raises BrokenProcessPool instead of
-# hanging on the lost task forever.
+# Worker protocol, one duplex pipe per worker.  The parent sends
+# ``(lo, hi, kernel_blob, retired)``: ``kernel_blob`` is the call's pickled
+# kernel on the worker's first batch of a call and None after it, and
+# ``retired`` names the shared-memory segments the parent unlinked since
+# the worker's previous task.  The worker answers ``(True, result)``, or
+# ``(False, (exception, traceback text))`` when the kernel raised.  A
+# kernel that cannot be loaded in the worker ends the worker, like any
+# other crash, and the parent reports the lost worker.
 
-_pool: Any = None
-_pool_size = 0
+_WORKER_LOST = (
+    "a process-backend worker died while running a chunk task "
+    "(commonly: the kernel resolves to a name the worker cannot "
+    "import, e.g. one defined interactively after the pool started)"
+)
 
 
-def _mp_context():
-    """Fork-based context when the platform has it (fast, inherits state)."""
-    preferred = os.environ.get("REPRO_MP_START_METHOD")
-    methods = multiprocessing.get_all_start_methods()
-    if preferred and preferred in methods:
-        return multiprocessing.get_context(preferred)
-    if "fork" in methods:
+class _RemoteTraceback(Exception):
+    """The worker-side traceback, chained as ``__cause__`` of a kernel error."""
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
+class _Worker:
+    """Parent-side handle of one pool worker: its process and pipe end."""
+
+    def __init__(self, ctx: Any) -> None:
+        self.conn, child_end = ctx.Pipe()
+        self.process = ctx.Process(
+            target=_worker_main,
+            args=(self.conn, child_end),
+            name="repro-omp-worker",
+            daemon=True,
+        )
+        self.process.start()
+        child_end.close()
+        #: Segments the parent unlinked since this worker's last task.
+        self.retired: list[str] = []
+
+
+#: One lock serialises dispatch, pool growth and shutdown across threads
+#: (re-entrant: a failing dispatch shuts the pool down while holding it).
+_lock = threading.RLock()
+_workers: list[_Worker] = []
+
+
+def _mp_context() -> Any:
+    """``fork`` where the platform has it (fast, inherits state), else the default."""
+    if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()
 
 
-def _get_pool(workers: int):
-    """The persistent pool, created on first use and grown on demand."""
-    global _pool, _pool_size
-    if _pool is None or _pool_size < workers:
-        if _pool is not None:
-            _pool.shutdown(wait=False, cancel_futures=True)
-        from concurrent.futures import ProcessPoolExecutor
-
-        _pool = ProcessPoolExecutor(max_workers=workers, mp_context=_mp_context())
-        _pool_size = workers
-    return _pool
+def _pool(workers: int) -> list[_Worker]:
+    """The first ``workers`` pool workers, forking any not yet running."""
+    while len(_workers) < workers:
+        _workers.append(_Worker(_mp_context()))
+    return _workers[:workers]
 
 
 def pool_size() -> int:
     """Current size of the persistent worker pool (0 before first use)."""
-    return _pool_size if _pool is not None else 0
+    return len(_workers)
 
 
 def shutdown_pool() -> None:
-    """Tear down the persistent pool (tests; also registered atexit)."""
-    global _pool, _pool_size
-    if _pool is not None:
-        _pool.shutdown(wait=False, cancel_futures=True)
-        _pool = None
-        _pool_size = 0
+    """End every pool worker; the next process-backend call forks anew.
+
+    Workers hold no state worth a graceful exit, so they are killed rather
+    than waited for — one still busy (the parent left a call with batches
+    in flight) included.  Without this call they end with the parent: at
+    interpreter exit :mod:`multiprocessing` terminates its daemonic
+    children, and a worker whose parent died outright reads EOF.
+    """
+    global _workers
+    with _lock:
+        workers, _workers = _workers, []
+        for w in workers:
+            w.conn.close()
+            w.process.kill()
+        for w in workers:
+            w.process.join()
 
 
-atexit.register(shutdown_pool)
+def _forget_pool_in_child() -> None:
+    """After ``fork``: drop the parent's pool without touching its workers.
+
+    The child's copies of the parent's pipe ends are closed, so a worker
+    still sees EOF when the parent closes its end, and a forked child
+    (an MPI rank, or a worker) that runs chunks forks a pool of its own.
+    """
+    global _lock, _workers
+    for w in _workers:
+        w.conn.close()
+    _workers = []
+    _lock = threading.RLock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool_in_child)
+
+
+def _retire(name: str) -> None:
+    """Queue an unlinked segment's name for every live worker's next task."""
+    with _lock:
+        for w in _workers:
+            w.retired.append(name)
+
+
+def _worker_main(parent_end: Any, conn: Any) -> None:
+    """Worker loop: run batches until the parent closes the pipe."""
+    parent_end.close()  # inherited across fork; a copy here would hide EOF
+    # Ctrl-C reaches the whole process group; the parent decides what a
+    # keyboard interrupt does to its workers (shutdown_pool ends them).
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    kernel: Any = None
+    while True:
+        try:
+            lo, hi, blob, retired = conn.recv()
+        except EOFError:
+            return
+        for name in retired:
+            shared = _attached.pop(name, None)
+            if shared is not None:
+                # A view kept alive past its task still exports the buffer;
+                # the mapping then goes when that view does.
+                with contextlib.suppress(BufferError):
+                    shared.close()
+        if blob is not None:
+            kernel = pickle.loads(blob)
+        _run_batch(conn, kernel, lo, hi)
+
+
+def _run_batch(conn: Any, kernel: Callable[[int, int], Any], lo: int, hi: int) -> None:
+    # A function of its own, so no reference to the result (possibly a
+    # view of a shared array) outlives the reply.
+    try:
+        reply = (True, kernel(lo, hi))
+    except Exception as exc:  # noqa: BLE001 - re-raised in the parent
+        import traceback
+
+        reply = (False, (exc, traceback.format_exc()))
+    try:
+        data = pickle.dumps(reply)
+    except Exception as exc:  # noqa: BLE001 - an unpicklable result or error
+        error = RuntimeError(f"a chunk task's reply could not be pickled: {exc!r}")
+        data = pickle.dumps((False, (error, "")))
+    conn.send_bytes(data)
 
 
 # ---------------------------------------------------------------------------
@@ -176,18 +289,6 @@ def chunk_ranges(
 # Chunk execution
 # ---------------------------------------------------------------------------
 
-def _require_picklable(obj: Any, what: str) -> None:
-    try:
-        pickle.dumps(obj)
-    except Exception as exc:
-        raise BackendUnavailable(
-            f"the process backend must pickle {what}, and {obj!r} is not "
-            "picklable — use a module-level function (or functools.partial "
-            "over one) instead of a closure/lambda, or select "
-            "backend='threads'"
-        ) from exc
-
-
 def _threads_run_chunks(
     kernel: Callable[[int, int], Any],
     ranges: Sequence[tuple[int, int]],
@@ -215,40 +316,89 @@ def _process_run_chunks(
 ) -> list[Any]:
     """Process-backend chunk execution on the persistent pool.
 
-    One future per batch hands work to whichever worker frees up first —
-    the pool-side analogue of dynamic self-scheduling — while collecting
-    results by future keeps them in batch order.  A worker death surfaces
-    as :class:`BackendUnavailable` rather than a hang.
+    The kernel — wrapped in :func:`repro.obs.run_traced_chunk` while a
+    recorder is active, so worker events come back with each result — is
+    pickled once here; :func:`_dispatch` runs the batches.
     """
-    from concurrent.futures.process import BrokenProcessPool
-
-    _require_picklable(kernel, "the chunk kernel")
-    pool = _get_pool(workers)
     from ..obs import recorder as _obs
 
     tracing = _obs.active() is not None
-    task = (
-        functools.partial(_obs.run_traced_chunk, kernel) if tracing else kernel
-    )
-    submit_ts = time.monotonic()
-    futures = [pool.submit(task, lo, hi) for lo, hi in ranges]
+    task = functools.partial(_obs.run_traced_chunk, kernel) if tracing else kernel
     try:
-        if not tracing:
-            return [f.result() for f in futures]
-        results = []
-        for f in futures:
-            result, forwarded = f.result()
-            if forwarded is not None:
-                _obs.ingest_forwarded(forwarded, submit_ts)
-            results.append(result)
-        return results
-    except BrokenProcessPool as exc:
-        shutdown_pool()
+        blob = pickle.dumps(task)
+    except Exception as exc:
         raise BackendUnavailable(
-            "a process-backend worker died while running a chunk task "
-            "(commonly: the kernel resolves to a name the worker cannot "
-            "import, e.g. one defined interactively after the pool started)"
+            f"the process backend must pickle the chunk kernel, and {kernel!r} "
+            "is not picklable — use a module-level function (or "
+            "functools.partial over one) instead of a closure/lambda, or "
+            "select backend='threads'"
         ) from exc
+    submit_ts = time.monotonic()
+    with _lock:
+        results = _dispatch(_pool(workers), blob, ranges)
+    if not tracing:
+        return results
+    out = []
+    for result, forwarded in results:
+        if forwarded is not None:
+            _obs.ingest_forwarded(forwarded, submit_ts)
+        out.append(result)
+    return out
+
+
+def _dispatch(
+    pool: list[_Worker], blob: bytes, ranges: Sequence[tuple[int, int]]
+) -> list[Any]:
+    """Run every batch on ``pool``; results in batch order.
+
+    Each worker gets one batch (with the kernel) up front, then the next
+    batch whenever it answers — first free, first served.  After a kernel
+    raises, no new batch goes out; the ones in flight are drained and the
+    first error is re-raised, leaving no stale reply in any pipe.  Leaving
+    with batches still in flight (a lost worker, an interrupt) shuts the
+    pool down instead, so no later call can read their results.
+    """
+    from multiprocessing.connection import wait
+
+    results: list[Any] = [None] * len(ranges)
+    busy: dict[_Worker, int] = {}
+    next_batch = 0
+    error: tuple[BaseException, str] | None = None
+
+    def give(worker: _Worker, kernel_blob: bytes | None) -> None:
+        nonlocal next_batch
+        lo, hi = ranges[next_batch]
+        retired, worker.retired = worker.retired, []
+        worker.conn.send((lo, hi, kernel_blob, retired))
+        busy[worker] = next_batch
+        next_batch += 1
+
+    try:
+        for worker in pool[: len(ranges)]:
+            give(worker, blob)
+        while busy:
+            ready = set(wait([w.conn for w in busy] + [w.process.sentinel for w in busy]))
+            for worker in [w for w in busy if w.conn in ready or w.process.sentinel in ready]:
+                if worker.conn not in ready:  # the sentinel alone: the worker exited
+                    raise BackendUnavailable(_WORKER_LOST)
+                index = busy.pop(worker)
+                ok, value = worker.conn.recv()
+                if ok:
+                    results[index] = value
+                elif error is None:
+                    error = value
+                if error is None and next_batch < len(ranges):
+                    give(worker, None)
+    except BaseException as exc:
+        shutdown_pool()
+        if isinstance(exc, (EOFError, OSError)):  # a pipe to a dead worker
+            raise BackendUnavailable(_WORKER_LOST) from exc
+        raise
+    if error is not None:
+        exc, remote_tb = error
+        exc.__cause__ = _RemoteTraceback(remote_tb)
+        raise exc
+    return results
 
 
 def run_chunks(
@@ -300,10 +450,7 @@ def process_parallel_for(
     """
     ranges = chunk_ranges(n, workers, schedule, chunk)
     red = get_reduction(reduction) if reduction is not None else None
-    spec = reduction if (reduction is None or isinstance(reduction, str)) else reduction
-    if spec is not None and not isinstance(spec, str):
-        _require_picklable(spec, "a custom Reduction")
-    kernel = functools.partial(_index_chunk, body, spec)
+    kernel = functools.partial(_index_chunk, body, reduction)
     partials = _process_run_chunks(kernel, ranges, workers) if ranges else []
     if red is not None:
         return red.fold(partials)
@@ -315,7 +462,8 @@ def process_parallel_for(
 # ---------------------------------------------------------------------------
 
 #: Worker-side cache of attached segments, keyed by shm name, so repeated
-#: chunk tasks over the same array attach once per worker process.
+#: chunk tasks over the same array attach once per worker process; entries
+#: leave when the parent retires the segment (see ``_worker_main``).
 _attached: dict[str, "SharedArray"] = {}
 
 
@@ -398,6 +546,7 @@ class SharedArray:
         self.array = None
         if self._owner:
             _shm.unlink_segment(self._shm)
+            _retire(self._shm.name)
         else:
             self._shm.close()
 

@@ -470,13 +470,19 @@ class TestAlgorithmFaults:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("algo", ALLREDUCE_ALGOS)
     def test_crash_surfaces_per_algorithm(self, backend, algo):
+        """The crash fails fast and typed: the survivors are aborted, not
+        left to the 4 s watchdog, and only the crashed rank is named."""
+
         def body(comm):
             return comm.allreduce([comm.Get_rank()], SUM, algorithm=algo)
 
         runner = run if backend == "threads" else run_procs
+        t0 = time.monotonic()
         with fault_injection("crash:rank=1,at=1"):
-            with pytest.raises((RankFailedError, DeadlockError)):
+            with pytest.raises(RankFailedError) as excinfo:
                 runner(body, 3, deadlock_timeout=4.0)
+        assert time.monotonic() - t0 < 1.0
+        assert set(excinfo.value.failures) == {1}
 
     @pytest.mark.parametrize("algo", ALLREDUCE_ALGOS)
     def test_drop_deadlocks_per_algorithm(self, algo):

@@ -9,6 +9,7 @@ from repro.mpi import (
     ANY_TAG,
     MPI_BACKENDS,
     PROC_NULL,
+    DeadlockError,
     RankFailedError,
     Status,
     fork_available,
@@ -192,8 +193,44 @@ class TestFailures:
         with pytest.raises(RankFailedError, match="rank 1"):
             _run(body, 2)
 
+    def test_rank_exit_aborts_survivors_fast(self):
+        import os
+        import time
+
+        def body(comm):
+            if comm.Get_rank() == 1:
+                os._exit(3)
+            return comm.recv(source=1)  # never sent: only the abort ends it
+
+        t0 = time.monotonic()
+        with pytest.raises(RankFailedError, match="exited with code 3") as excinfo:
+            _run(body, 3)
+        assert time.monotonic() - t0 < 1.0
+        assert set(excinfo.value.failures) == {1}
+
+    def test_every_rank_timed_out_raises_deadlock(self):
+        def body(comm):
+            return comm.recv(source=ANY_SOURCE)
+
+        with pytest.raises(DeadlockError):
+            _run(body, 3, deadlock_timeout=0.3)
+
 
 class TestLauncherIntegration:
+    def test_forked_rank_imports_nothing(self):
+        import sys
+
+        def trivial(comm):
+            return comm.Get_rank()
+
+        mpirun(trivial, 2, backend="processes")  # warm: the parent's imports
+        loaded = set(sys.modules)
+
+        def body(comm):
+            return sorted(set(sys.modules) - loaded)
+
+        assert mpirun(body, 2, backend="processes") == [[], []]
+
     def test_mpirun_backend_parameter(self):
         def body(comm):
             return comm.allreduce(comm.Get_rank(), op=SUM)

@@ -9,6 +9,10 @@ from __future__ import annotations
 
 import functools
 import os
+import signal
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -28,7 +32,7 @@ from repro.openmp import (
     scoped,
     set_backend,
 )
-from repro.openmp import hooks
+from repro.openmp import backends, hooks
 from repro.openmp.env import _reset_for_testing
 
 BOTH_BACKENDS = pytest.mark.parametrize("backend", ["threads", "processes"])
@@ -50,6 +54,46 @@ def square(i: int) -> int:
 
 def write_chunk(shared: SharedArray, lo: int, hi: int) -> None:
     shared.array[lo:hi] = np.arange(lo, hi, dtype=shared.dtype)
+
+
+def exit_chunk(lo: int, hi: int) -> None:
+    os._exit(3)
+
+
+def fail_on_chunk(bad_lo: int, lo: int, hi: int) -> int:
+    if lo == bad_lo:
+        raise ValueError(f"bad batch at {lo}")
+    return sum(range(lo, hi))
+
+
+def attached_chunk(lo: int, hi: int) -> tuple[int, int]:
+    return os.getpid(), len(backends._attached)
+
+
+def closure_chunk(lo: int, hi: int):
+    return lambda: lo  # a result no pickle can ship back
+
+
+def sleep_chunk(lo: int, hi: int) -> int:
+    time.sleep(5)
+    return lo
+
+
+class Interrupted(Exception):
+    """Raised in the parent by a timer while batches are in flight."""
+
+
+class CountingKernel:
+    """A chunk kernel that counts, in the parent, how often it is pickled."""
+
+    reductions = 0
+
+    def __reduce__(self):
+        CountingKernel.reductions += 1
+        return (CountingKernel, ())
+
+    def __call__(self, lo: int, hi: int) -> int:
+        return hi - lo
 
 
 # --- chunk decomposition ---------------------------------------------------
@@ -154,6 +198,105 @@ class TestRunChunks:
                 workers=2,
                 backend="processes",
             )
+
+
+# --- the persistent process pool -------------------------------------------
+
+class TestProcessPool:
+    def test_dead_worker_raises_then_next_call_gets_fresh_pool(self):
+        with pytest.raises(BackendUnavailable, match="worker died"):
+            run_chunks(exit_chunk, [(0, 1), (1, 2)], workers=2, backend="processes")
+        ranges = chunk_ranges(30, 2, "dynamic", chunk=3)
+        got = run_chunks(chunk_sum, ranges, workers=2, backend="processes")
+        assert got == [sum(range(lo, hi)) for lo, hi in ranges]
+
+    def test_kernel_error_reraised_and_no_stale_reply_left(self):
+        ranges = chunk_ranges(40, 2, "dynamic", chunk=2)
+        with pytest.raises(ValueError, match="bad batch at 10") as excinfo:
+            run_chunks(
+                functools.partial(fail_on_chunk, 10), ranges, workers=2,
+                backend="processes",
+            )
+        assert "fail_on_chunk" in str(excinfo.value.__cause__)  # worker traceback
+        got = run_chunks(chunk_sum, ranges, workers=2, backend="processes")
+        assert got == [sum(range(lo, hi)) for lo, hi in ranges]
+
+    def test_unpicklable_result_raises_in_parent(self):
+        with pytest.raises(RuntimeError, match="could not be pickled"):
+            run_chunks(closure_chunk, [(0, 1), (1, 2)], workers=2,
+                       backend="processes")
+        assert run_chunks(chunk_len, [(0, 2)], workers=2,
+                          backend="processes") == [2]
+
+    def test_interrupted_call_shuts_pool_down(self):
+        def interrupt(signum, frame):
+            raise Interrupted
+
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        signal.setitimer(signal.ITIMER_REAL, 0.2)
+        try:
+            t0 = time.monotonic()
+            with pytest.raises(Interrupted):
+                run_chunks(sleep_chunk, [(0, 1), (1, 2)], workers=2,
+                           backend="processes")
+            assert time.monotonic() - t0 < 2.0
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert backends.pool_size() == 0  # the sleeping workers were ended
+        assert run_chunks(chunk_len, [(0, 2), (2, 5)], workers=2,
+                          backend="processes") == [2, 3]
+
+    def test_kernel_pickled_once_per_call(self):
+        ranges = chunk_ranges(40, 2, "dynamic", chunk=1)
+        CountingKernel.reductions = 0
+        got = run_chunks(CountingKernel(), ranges, workers=2, backend="processes")
+        assert got == [1] * 40
+        assert CountingKernel.reductions == 1
+
+    def test_unlinked_segments_leave_worker_caches(self):
+        from repro.exemplars.heat import heat_omp
+
+        for _ in range(50):
+            heat_omp(2000, 10, backend="processes")
+        ranges = [(i, i + 1) for i in range(4)]
+        got = run_chunks(attached_chunk, ranges, workers=4, backend="processes")
+        assert len({pid for pid, _ in got}) == 4  # one batch on every worker
+        assert all(count <= 2 for _, count in got), got
+
+    def test_shutdown_ends_every_worker(self):
+        ranges = [(i, i + 1) for i in range(3)]
+        pids = {pid for pid, _ in run_chunks(attached_chunk, ranges, workers=3,
+                                             backend="processes")}
+        backends.shutdown_pool()
+        assert backends.pool_size() == 0
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_calls_from_threads_are_serialised(self):
+        ranges = chunk_ranges(60, 3, "dynamic", chunk=2)
+        expected = [sum(range(lo, hi)) for lo, hi in ranges]
+        wrong: list = []
+
+        def caller() -> None:
+            for _ in range(15):
+                got = run_chunks(chunk_sum, ranges, workers=3, backend="processes")
+                if got != expected:
+                    wrong.append(got)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
 
 # --- parallel_for on the process backend -----------------------------------
