@@ -387,7 +387,7 @@ def _course_serve_read(quick: bool, _backend: str) -> Callable[[], Any]:
     """Hot-path module reads through the full middleware stack.
 
     The app is built (and the cache warmed) outside the timed region, so
-    what's measured is routing + cache hit + JSON envelope per request —
+    what's measured is routing + a cached response body per request —
     the latency every learner pays on every page view.
     """
     from .serve.asgi import Client

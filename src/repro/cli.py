@@ -513,7 +513,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if app.replayed_records:
         print(f"replayed {app.replayed_records} progress record(s) "
               f"from {args.data_dir}")
-    serve_forever(app, args.host, args.port, verbose=args.verbose)
+    try:
+        serve_forever(app, args.host, args.port, verbose=args.verbose)
+    finally:
+        app.close()
     return 0
 
 

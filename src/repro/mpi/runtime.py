@@ -273,6 +273,11 @@ class World:
                     pass
                 with self._state_lock:
                     self._alive -= 1
+                    # The survivors may all be parked already: start the
+                    # all-blocked clock here too, or nothing would start it
+                    # and they would wait out the hard deadlock timeout.
+                    if self._alive and self._blocked >= self._alive:
+                        self._all_blocked_since = time.monotonic()
                 self.unbind_current_thread()
                 try:
                     barrier_done.wait(timeout=self.deadlock_timeout)

@@ -11,7 +11,7 @@ GET       ``/healthz``                         liveness (process is up)
 GET       ``/readyz``                          readiness (registry replayed/warm)
 GET       ``/metricz``                         live metrics snapshot
 POST      ``/join/<class_code>``               enroll a learner into a cohort
-GET       ``/m/<module_id>``                   rendered module (cached)
+GET       ``/m/<module_id>``                   rendered module (cached body)
 POST      ``/m/<module_id>/submit``            grade + record one answer
 POST      ``/m/<module_id>/edit``              authoring edit → cache invalidation
 GET       ``/gradebook/<cohort>``              instructor gradebook (keyed)
@@ -31,6 +31,7 @@ from typing import Any, Callable
 from ..obs.metrics import register_provider, unregister_provider
 from ..runestone.render import render_html, render_section_text, render_text
 from .asgi import (
+    JSON_CONTENT_TYPE,
     HTTPError,
     Request,
     Response,
@@ -90,11 +91,11 @@ class CourseApp:
             register_provider(metrics_name, self.metrics_snapshot)
 
         # Boot sequence: replay persisted cohort logs, optionally pre-render
-        # the modules into the cache, then declare readiness.
+        # the modules' read bodies into the cache, then declare readiness.
         self.replayed_records = self.registry.replay_all()
         if warm:
             for module_id in self.registry.modules:
-                self._rendered(module_id, "html")
+                self._read_body(module_id, "html", None)
         self.ready = True
 
     # ----------------------------------------------------------------- ASGI
@@ -104,7 +105,10 @@ class CourseApp:
         self._stack(scope, receive, send)
 
     def close(self) -> None:
-        """Unhook the process-wide metrics provider (tests build many apps)."""
+        """Close every cohort's journal and unhook the process-wide metrics
+        provider (tests build many apps)."""
+        for cohort in self.registry.cohorts.values():
+            cohort.store.backend.close()
         if self.metrics_name:
             unregister_provider(self.metrics_name)
 
@@ -218,16 +222,30 @@ class CourseApp:
             status=200 if not created else 201,
         )
 
-    def _rendered(self, module_id: str, fmt: str, section: str | None = None) -> str:
+    def _read_body(self, module_id: str, fmt: str, section: str | None) -> bytes:
+        """The encoded body of one read, from the cache or built on a miss."""
         module = self.registry.module(module_id)
         version = self.registry.module_version(module_id)
         variant = f"v{version}:{fmt}" + (f":s{section}" if section else "")
-        if section is not None:
-            found = module.find_section(section)
-            return self.cache.get(
-                module_id, variant, lambda: render_section_text(found)
-            )
-        return self.cache.get(module_id, variant, lambda: _FORMATS[fmt](module))
+
+        def build() -> bytes:
+            if section is None:
+                rendered = _FORMATS[fmt](module)
+            else:
+                rendered = render_section_text(module.find_section(section))
+            return json_response(
+                {
+                    "module": module.slug,
+                    "title": module.title,
+                    "version": version,
+                    "format": fmt,
+                    "section": section,
+                    "activities": [q.activity_id for q in module.all_questions()],
+                    "rendered": rendered,
+                }
+            ).body
+
+        return self.cache.get(module_id, variant, build)
 
     def _read_module(self, request: Request, module_id: str) -> Response:
         fmt = request.param("format", "html")
@@ -236,25 +254,15 @@ class CourseApp:
                 400, "bad_format", f"format must be one of {sorted(_FORMATS)}"
             )
         try:
-            module = self.registry.module(module_id)
+            self.registry.module(module_id)
         except KeyError as exc:
             raise HTTPError(404, "unknown_module", exc.args[0]) from None
         section = request.param("section")
         try:
-            rendered = self._rendered(module_id, fmt, section)
+            body = self._read_body(module_id, fmt, section)
         except KeyError as exc:
             raise HTTPError(404, "unknown_section", exc.args[0]) from None
-        return json_response(
-            {
-                "module": module.slug,
-                "title": module.title,
-                "version": self.registry.module_version(module_id),
-                "format": fmt,
-                "section": section,
-                "activities": [q.activity_id for q in module.all_questions()],
-                "rendered": rendered,
-            }
-        )
+        return Response(headers=[JSON_CONTENT_TYPE], body=body)
 
     def _submit(self, request: Request, module_id: str) -> Response:
         payload = self._json_object(request)

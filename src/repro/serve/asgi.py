@@ -31,6 +31,7 @@ from typing import Any, Callable, Iterable
 from urllib.parse import parse_qs, unquote, urlsplit
 
 __all__ = [
+    "JSON_CONTENT_TYPE",
     "HTTPError",
     "Request",
     "Response",
@@ -119,15 +120,15 @@ class Response:
         return json.loads(self.body)
 
 
+#: The header every JSON response carries (cached read bodies included).
+JSON_CONTENT_TYPE = ("content-type", "application/json")
+
+
 def json_response(
     payload: Any, status: int = 200, headers: Iterable[tuple[str, str]] = ()
 ) -> Response:
     body = json.dumps(payload, indent=None, separators=(",", ":")).encode()
-    return Response(
-        status=status,
-        headers=[("content-type", "application/json"), *headers],
-        body=body,
-    )
+    return Response(status=status, headers=[JSON_CONTENT_TYPE, *headers], body=body)
 
 
 def error_response(exc: HTTPError) -> Response:

@@ -1,13 +1,15 @@
-"""LRU cache for rendered modules with explicit invalidation.
+"""LRU cache of encoded read bodies with explicit invalidation.
 
 Rendering a full handout walks the whole module tree and escapes every
-block — cheap once, expensive at a few thousand requests per second.
-The cache keys on ``(module_id, variant)`` where ``variant`` encodes the
-format and optional section, holds the rendered string, and is bounded
-by an LRU policy.  Invalidation is *explicit*: the registry's module-edit
-seam calls :meth:`invalidate` with the module id, dropping every variant
-of that module, so a stale render can outlive an edit only if nobody
-told the cache (which is the bug the serving tests pin).
+block, and encoding the read response scans the module again for its
+activities — cheap once, expensive at a few thousand requests per
+second.  The cache keys on ``(module_id, variant)`` where ``variant`` is
+``"v<version>:<format>[:s<section>]"``, holds the encoded JSON body a
+read returns, and is bounded by an LRU policy, so a hit is served with
+no render and no encode.  Invalidation is *explicit*: the registry's
+module-edit seam calls :meth:`invalidate` with the module id, dropping
+every variant of that module, so a stale body can outlive an edit only
+if nobody told the cache (which is the bug the serving tests pin).
 
 Hit/miss/eviction/invalidation counters are :class:`repro.obs.Counter`
 instances, surfaced through the app's metrics provider so
@@ -26,26 +28,27 @@ __all__ = ["RenderCache"]
 
 
 class RenderCache:
-    """Thread-safe bounded LRU of rendered module variants."""
+    """Thread-safe bounded LRU of encoded read bodies, one per variant."""
 
     def __init__(self, capacity: int = 64) -> None:
         if capacity < 1:
             raise ValueError("cache capacity must be positive")
         self.capacity = capacity
-        self._entries: OrderedDict[tuple[str, str], str] = OrderedDict()
+        self._entries: OrderedDict[tuple[str, str], bytes] = OrderedDict()
         self._lock = threading.Lock()
         self.hits = Counter()
         self.misses = Counter()
         self.evictions = Counter()
         self.invalidations = Counter()
 
-    def get(self, module_id: str, variant: str, render: Callable[[], str]) -> str:
-        """Return the cached render or compute, store, and return it.
+    def get(self, module_id: str, variant: str, render: Callable[[], bytes]) -> bytes:
+        """Return the cached body or compute, store, and return it.
 
         The render runs outside the lock: a slow render must not stall
         every other module's hits.  Two racing misses for the same key
-        both render; last write wins — acceptable because renders are
-        deterministic for a given module version.
+        both render and both count; last write wins — acceptable because
+        bodies are deterministic for a given module version.  A render
+        that raises (an unknown section) is neither counted nor stored.
         """
         key = (module_id, variant)
         with self._lock:
@@ -54,15 +57,15 @@ class RenderCache:
                 self._entries.move_to_end(key)
                 self.hits.inc()
                 return cached
-            self.misses.inc()
-        rendered = render()
+        body = render()
         with self._lock:
-            self._entries[key] = rendered
+            self.misses.inc()
+            self._entries[key] = body
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.evictions.inc()
-        return rendered
+        return body
 
     def invalidate(self, module_id: str) -> int:
         """Drop every cached variant of one module; returns entries dropped."""

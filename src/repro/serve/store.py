@@ -26,7 +26,7 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, BinaryIO, Iterable, Iterator
 
 from ..runestone.module import Module
 from ..runestone.progress import Gradebook, LearnerProgress
@@ -42,7 +42,9 @@ __all__ = [
 
 
 class Backend:
-    """Append-only record log.  Subclasses override all three methods."""
+    """Append-only record log.  Subclasses override ``append``, ``replay``
+    and ``rewrite``; ``close`` releases what the log holds open (nothing
+    by default)."""
 
     def append(self, record: dict[str, Any]) -> None:  # pragma: no cover
         raise NotImplementedError
@@ -52,6 +54,9 @@ class Backend:
 
     def rewrite(self, records: Iterable[dict[str, Any]]) -> None:  # pragma: no cover
         raise NotImplementedError
+
+    def close(self) -> None:
+        pass
 
 
 class MemoryBackend(Backend):
@@ -82,22 +87,31 @@ class MemoryBackend(Backend):
 class JsonlBackend(Backend):
     """One JSON object per line, appended and fsync-free by design.
 
-    Append-only writes survive crashes of everything above them (a torn
-    final line is skipped on replay with a note rather than poisoning
-    the whole cohort).  ``rewrite`` (used by :meth:`ProgressStore.snapshot`)
-    replaces the log atomically via a temp file + rename.
+    The log is opened at the first append and kept open: each record is
+    one buffered write and one flush, so it reaches the file (one
+    ``write`` system call) before ``append`` returns.  Append-only writes
+    survive crashes of everything above them (a torn final line is
+    skipped on replay with a note rather than poisoning the whole
+    cohort).  ``rewrite`` (used by :meth:`ProgressStore.snapshot`)
+    replaces the log atomically via a temp file + rename and closes the
+    handle, so the next append opens the new file; :meth:`close` releases
+    the handle.
     """
 
     def __init__(self, path: str | os.PathLike[str]) -> None:
         self.path = Path(path)
         self._lock = threading.Lock()
+        self._fh: BinaryIO | None = None
         self.skipped_lines = 0
         self.path.parent.mkdir(parents=True, exist_ok=True)
 
     def append(self, record: dict[str, Any]) -> None:
-        line = json.dumps(record, separators=(",", ":"))
-        with self._lock, self.path.open("a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
+        line = json.dumps(record, separators=(",", ":")).encode() + b"\n"
+        with self._lock:
+            if self._fh is None:
+                self._fh = self.path.open("ab")
+            self._fh.write(line)
+            self._fh.flush()
 
     def replay(self) -> Iterator[dict[str, Any]]:
         if not self.path.exists():
@@ -119,10 +133,20 @@ class JsonlBackend(Backend):
     def rewrite(self, records: Iterable[dict[str, Any]]) -> None:
         tmp = self.path.with_suffix(self.path.suffix + ".tmp")
         with self._lock:
+            self._close()
             with tmp.open("w", encoding="utf-8") as fh:
                 for record in records:
                     fh.write(json.dumps(record, separators=(",", ":")) + "\n")
             tmp.replace(self.path)
+
+    def close(self) -> None:
+        with self._lock:
+            self._close()
+
+    def _close(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
 
 
 def open_backend(spec: str | None, data_dir: str | None, slug: str) -> Backend:
@@ -210,25 +234,64 @@ class ProgressStore:
             return self._progress(learner)
 
     def gradebook_report(self) -> dict[str, Any]:
-        """The instructor view, computed under the lock for consistency."""
+        """The instructor view, computed under the lock for consistency.
+
+        One pass over each learner's attempts yields the values the
+        :class:`LearnerProgress` properties and
+        :meth:`Gradebook.hardest_questions` compute by rescanning them per
+        question; the module's questions and sections are read once.
+        """
         with self._lock:
-            records = {
-                name: {
+            question_ids = [q.activity_id for q in self.module.all_questions()]
+            distinct = set(question_ids)
+            sections = sum(1 for _ in self.module.all_sections())
+            # activity id -> [learners whose first attempt was right, learners who tried]
+            firsts = {aid: [0, 0] for aid in distinct}
+            finished = 0
+            records = {}
+            for name, p in sorted(self.gradebook.records.items()):
+                best: dict[str, float] = {}
+                solved: set[str] = set()
+                for attempt in p.attempts:
+                    aid, result = attempt.activity_id, attempt.result
+                    if aid not in best:
+                        best[aid] = result.score
+                        if aid in firsts:
+                            firsts[aid][0] += result.correct
+                            firsts[aid][1] += 1
+                    elif result.score > best[aid]:
+                        best[aid] = result.score
+                    if result.correct:
+                        solved.add(aid)
+                completion = len(p.completed_sections) / sections if sections else 1.0
+                finished += completion == 1.0
+                score = 1.0
+                if question_ids:
+                    score = sum(best.get(aid, 0.0) for aid in question_ids) / len(
+                        question_ids
+                    )
+                records[name] = {
                     "attempts": len(p.attempts),
-                    "questions_correct": p.questions_answered_correctly,
-                    "completion": p.completion_fraction,
-                    "score": p.question_score,
+                    "questions_correct": len(solved & distinct),
+                    "completion": completion,
+                    "score": score,
                     "minutes": p.minutes_spent,
                 }
-                for name, p in sorted(self.gradebook.records.items())
-            }
+            hardest = sorted(
+                (
+                    (aid, firsts[aid][0] / firsts[aid][1])
+                    for aid in question_ids
+                    if firsts[aid][1]
+                ),
+                key=lambda row: row[1],
+            )
             return {
                 "module": self.module.slug,
                 "learners": len(records),
-                "completion_rate": self.gradebook.completion_rate(),
+                "completion_rate": finished / len(records) if records else 0.0,
                 "hardest_questions": [
                     {"activity_id": aid, "first_attempt_rate": rate}
-                    for aid, rate in self.gradebook.hardest_questions()
+                    for aid, rate in hardest
                 ],
                 "records": records,
             }

@@ -1,5 +1,7 @@
 """World lifecycle, error propagation, console capture, mpirun emulation."""
 
+import time
+
 import pytest
 
 from repro.mpi import (
@@ -12,6 +14,7 @@ from repro.mpi import (
     current_comm,
     mpirun,
     parse_mpirun_command,
+    run,
     run_script,
 )
 from tests.conftest import spmd
@@ -83,6 +86,21 @@ class TestErrorPropagation:
             isinstance(e, WorldAbortedError)
             for e in exc_info.value.failures.values()
         )
+
+    def test_deadlock_left_by_finished_ranks_is_caught_within_grace(self):
+        """Ranks 0 and 2 return while rank 1 waits on rank 0: the last exit
+        starts the all-blocked clock, so the default 30 s timeout is not
+        what catches the deadlock."""
+
+        def body(comm):
+            if comm.Get_rank() == 1:
+                return comm.recv(source=0)
+            return None
+
+        t0 = time.monotonic()
+        with pytest.raises(DeadlockError):
+            run(body, 3)
+        assert time.monotonic() - t0 < 2.0
 
     def test_freed_comm_rejects_operations(self):
         from repro.mpi import CommAlreadyFreedError

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.runestone import render_html, render_section_text, render_text
 from repro.serve import Client, CourseApp
+from repro.serve.asgi import json_response
 from repro.serve.cache import RenderCache
 
 
@@ -115,5 +117,105 @@ class TestEditInvalidation:
             after = client.get("/m/raspberry-pi-handout?format=text").json()
             assert after["rendered"] != before["rendered"]
             assert "Edited Title" in after["rendered"]
+        finally:
+            app.close()
+
+
+def expected_body(app: CourseApp, module_id: str, fmt: str, section: str | None) -> bytes:
+    """The read body as the route has always built it: render the live
+    module, then encode the whole payload through ``json_response``."""
+    module = app.registry.module(module_id)
+    if section is None:
+        rendered = {"html": render_html, "text": render_text}[fmt](module)
+    else:
+        rendered = render_section_text(module.find_section(section))
+    return json_response(
+        {
+            "module": module.slug,
+            "title": module.title,
+            "version": app.registry.module_version(module_id),
+            "format": fmt,
+            "section": section,
+            "activities": [q.activity_id for q in module.all_questions()],
+            "rendered": rendered,
+        }
+    ).body
+
+
+class TestCachedBodies:
+    """A read returns the cached encoded body; it must be the same bytes
+    the payload encodes to, on a miss and on a hit, before and after an
+    edit."""
+
+    def _check_every_variant(self, app: CourseApp, client: Client) -> int:
+        checked = 0
+        for module_id, module in app.registry.modules.items():
+            numbers = [None] + [s.number for s in module.all_sections()]
+            for fmt in ("html", "text"):
+                for number in numbers:
+                    target = f"/m/{module_id}?format={fmt}"
+                    if number is not None:
+                        target += f"&section={number}"
+                    want = expected_body(app, module_id, fmt, number)
+                    for _ in range(2):  # the miss, then the hit
+                        resp = client.get(target)
+                        assert resp.status == 200
+                        assert resp.headers["content-type"] == "application/json"
+                        assert resp.body == want, target
+                    checked += 1
+        return checked
+
+    def test_every_variant_matches_the_encoded_payload(self):
+        app = CourseApp(metrics_name=None, cache_capacity=1024)
+        try:
+            client = Client(app)
+            variants = self._check_every_variant(app, client)
+            stats = app.cache.stats()
+            # One miss per variant (the html module reads were warmed at
+            # boot), one hit per second read.
+            assert stats["misses"] == variants
+            assert stats["hits"] == variants + len(app.registry.modules)
+
+            def retitle(module):
+                module.title = module.title + " (edited)"
+
+            for module_id in list(app.registry.modules):
+                app.registry.edit_module(module_id, retitle)
+            assert self._check_every_variant(app, client) == variants
+        finally:
+            app.close()
+
+    def test_a_hit_builds_nothing(self, monkeypatch):
+        import repro.serve.app as app_mod
+
+        app = CourseApp(metrics_name=None)
+        try:
+            client = Client(app)
+            client.get("/m/raspberry-pi-handout?format=text&section=1.1")
+            calls = []
+            monkeypatch.setattr(
+                app_mod, "json_response",
+                lambda *a, **k: calls.append(a) or json_response(*a, **k),
+            )
+            module = app.registry.module("raspberry-pi-handout")
+            monkeypatch.setattr(
+                type(module), "all_questions",
+                lambda self: calls.append("all_questions") or [],
+            )
+            resp = client.get("/m/raspberry-pi-handout?format=text&section=1.1")
+            assert resp.status == 200 and calls == []
+        finally:
+            app.close()
+
+    def test_unknown_section_is_neither_counted_nor_cached(self):
+        app = CourseApp(metrics_name=None)
+        try:
+            before = app.cache.stats()
+            r = Client(app).get("/m/raspberry-pi-handout?section=99.9")
+            assert r.status == 404
+            after = app.cache.stats()
+            assert (after["hits"], after["misses"], after["size"]) == (
+                before["hits"], before["misses"], before["size"],
+            )
         finally:
             app.close()

@@ -139,7 +139,7 @@ class TestProcessRankFaults:
     def test_drop_deadlocks_process_ranks(self):
         with fault_injection("drop:src=0,dst=1,nth=1"):
             with pytest.raises(DeadlockError):
-                run_procs(ring, 3, deadlock_timeout=TIMEOUT)
+                run_procs(ring, 3, deadlock_timeout=1.0)
 
     def test_clean_run_after_context_exit(self):
         with fault_injection("crash:rank=1,at=1"):
