@@ -26,19 +26,28 @@ Quick start
 [0, 1, 2, 3]
 """
 
-from .mpi import MPI, mpirun, run_script
-from .openmp import parallel_for, parallel_region
-from .patternlets import all_patternlets, get_patternlet
+from ._lazy import attach as _attach
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "MPI",
-    "mpirun",
-    "run_script",
-    "parallel_for",
-    "parallel_region",
-    "all_patternlets",
-    "get_patternlet",
-    "__version__",
-]
+# Each name is imported on first use, so importing a leaf such as
+# ``repro.serve`` loads neither NumPy nor either parallel runtime.
+_EXPORTS = {
+    "MPI": "mpi",
+    "mpirun": "mpi",
+    "run_script": "mpi",
+    "parallel_for": "openmp",
+    "parallel_region": "openmp",
+    "all_patternlets": "patternlets",
+    "get_patternlet": "patternlets",
+}
+__all__ = [*_EXPORTS, "__version__"]
+__getattr__, __dir__ = _attach(
+    __name__,
+    _EXPORTS,
+    submodules=(
+        "analysis", "assessment", "bench", "cli", "core", "exemplars", "kits",
+        "mpi", "obs", "openmp", "patternlets", "platforms", "runestone", "serve",
+        "testkit",
+    ),
+)

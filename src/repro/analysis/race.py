@@ -1,7 +1,7 @@
 """Happens-before data-race detection for the ``repro.openmp`` runtime.
 
 The detector consumes the event stream that the runtime emits through
-:mod:`repro.openmp.hooks` and maintains:
+:data:`repro.obs.hooks.openmp` and maintains:
 
 * a vector clock per logical thread (FastTrack-style: clocks advance on
   release/fork/join/barrier, accesses are recorded as epochs);
@@ -37,7 +37,7 @@ import sys
 import threading
 from typing import Any, Generator
 
-from ..openmp import hooks as _hooks
+from ..obs.hooks import openmp as _hooks
 from .diagnostics import ERROR, INFO, WARNING, AnalysisReport, Diagnostic
 from .vectorclock import Epoch, VectorClock
 

@@ -294,11 +294,12 @@ def _bcast_binomial_buf(quick: bool, backend: str) -> Callable[[], Any]:
 def _hooks_off(quick: bool, _backend: str) -> Callable[[], Any]:
     """Instrumentation-off overhead guard: the hook fast path in a hot loop.
 
-    Times the exact pattern every instrumented call site uses — an
-    ``enabled`` check guarding an ``emit`` — with no observers attached.
+    Times the exact pattern every instrumented call site uses — a seam's
+    ``enabled`` check guarding its ``emit`` (:mod:`repro.obs.hooks`) —
+    with no observers attached.
     The regression gate on this kernel keeps tracing free when off.
     """
-    from .openmp import hooks
+    from .obs.hooks import openmp as hooks
 
     n = 20_000 if quick else 200_000
 

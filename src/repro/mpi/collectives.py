@@ -36,8 +36,10 @@ lowercase and uppercase verbs.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Callable, Sequence
 
+from ..obs.hooks import mpi as _hooks
 from .ops import Op
 
 Send = Callable[[int, int, Any], None]
@@ -66,7 +68,46 @@ __all__ = [
     "allreduce_two_dimensional",
     "split_bytes",
     "shifted",
+    "traced_collective",
+    "payload_nbytes",
 ]
+
+
+def traced_collective(fn: Callable[..., Any]) -> Callable[..., Any]:
+    """Bracket a communicator collective with ``coll_enter``/``coll_exit``.
+
+    Decorates ``Intracomm``/``ProcComm`` methods; the communicator supplies
+    its context id via ``_obs_cid`` and its rank via ``_rank``.  With no
+    observer on the MPI hook seam the wrapper is a single falsy branch over
+    the undecorated call.
+    """
+    name = fn.__name__
+
+    @functools.wraps(fn)
+    def wrapper(self: Any, *args: Any, **kwargs: Any) -> Any:
+        if not _hooks.enabled:
+            return fn(self, *args, **kwargs)
+        cid = self._obs_cid
+        rank = self._rank
+        _hooks.emit("coll_enter", cid, rank, name)
+        try:
+            return fn(self, *args, **kwargs)
+        finally:
+            _hooks.emit("coll_exit", cid, rank, name)
+
+    return wrapper
+
+
+def payload_nbytes(payload: Any) -> int:
+    """Best-effort byte size of a transport payload (teaching precision)."""
+    if payload is None:
+        return 0
+    if isinstance(payload, (bytes, bytearray, memoryview)):
+        return len(payload)
+    nbytes = getattr(payload, "nbytes", None)
+    if isinstance(nbytes, int):
+        return nbytes
+    return 0
 
 
 def shifted(send: Send, recv: Recv, base: int) -> tuple[Send, Recv]:

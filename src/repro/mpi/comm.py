@@ -17,7 +17,7 @@ import numpy as np
 
 from . import algorithms as _algos
 from . import collectives as coll
-from . import hooks as _hooks
+from ..obs.hooks import mpi as _hooks
 from .serial import counted_dumps
 from .buffers import BufferSpec, parse_buffer, parse_vector_buffer
 from .constants import ANY_SOURCE, ANY_TAG, PROC_NULL, TAG_UB, UNDEFINED
@@ -464,7 +464,7 @@ class Intracomm:
         def send(dest: int, phase: int, payload: Any) -> None:
             if _hooks.enabled:
                 _hooks.emit(
-                    "coll_msg", core.cid, me, dest, _hooks.payload_nbytes(payload)
+                    "coll_msg", core.cid, me, dest, coll.payload_nbytes(payload)
                 )
             message = Message(me, seq * _PHASE_SPAN + phase, payload, 0)
             injector = core.world.injector
@@ -524,7 +524,7 @@ class Intracomm:
         return algo
 
     # ----------------------------------------------------------- collectives (obj)
-    @_hooks.traced_collective
+    @coll.traced_collective
     def barrier(self) -> None:
         """Block until every rank of the communicator has arrived."""
         self._pick("barrier")
@@ -533,7 +533,7 @@ class Intracomm:
 
     Barrier = barrier
 
-    @_hooks.traced_collective
+    @coll.traced_collective
     def bcast(self, obj: Any, root: int = 0, *, algorithm: str | None = None) -> Any:
         """Broadcast a Python object from ``root`` to every rank."""
         self._check_peer(root, wildcard=False, what="root")
@@ -546,7 +546,7 @@ class Intracomm:
         )
         return obj if self._rank == root else pickle.loads(result)
 
-    @_hooks.traced_collective
+    @coll.traced_collective
     def scatter(self, sendobj: Sequence[Any] | None, root: int = 0) -> Any:
         """Scatter a ``size``-element sequence from root; returns the local item."""
         self._check_peer(root, wildcard=False, what="root")
@@ -561,14 +561,14 @@ class Intracomm:
             chunks = list(sendobj)
         return coll.scatter_linear(self._rank, self._core.size, root, chunks, send, recv)
 
-    @_hooks.traced_collective
+    @coll.traced_collective
     def gather(self, sendobj: Any, root: int = 0) -> list[Any] | None:
         """Gather one object per rank into an ordered list at root."""
         self._check_peer(root, wildcard=False, what="root")
         send, recv = self._obj_transports()
         return coll.gather_linear(self._rank, self._core.size, root, sendobj, send, recv)
 
-    @_hooks.traced_collective
+    @coll.traced_collective
     def allgather(self, sendobj: Any, *, algorithm: str | None = None) -> list[Any]:
         """Gather one object per rank; every rank gets the full list."""
         algo = self._pick("allgather", requested=algorithm)
@@ -577,7 +577,7 @@ class Intracomm:
             algo, self._rank, self._core.size, sendobj, send, recv
         )
 
-    @_hooks.traced_collective
+    @coll.traced_collective
     def alltoall(self, sendobj: Sequence[Any]) -> list[Any]:
         """Personalized exchange: item ``j`` of my sequence goes to rank ``j``."""
         if len(sendobj) != self._core.size:
@@ -587,7 +587,7 @@ class Intracomm:
         send, recv = self._obj_transports()
         return coll.alltoall_pairwise(self._rank, self._core.size, list(sendobj), send, recv)
 
-    @_hooks.traced_collective
+    @coll.traced_collective
     def reduce(
         self,
         sendobj: Any,
@@ -604,7 +604,7 @@ class Intracomm:
             algo, self._rank, self._core.size, root, sendobj, op, send, recv
         )
 
-    @_hooks.traced_collective
+    @coll.traced_collective
     def allreduce(
         self, sendobj: Any, op: Op = SUM, *, algorithm: str | None = None
     ) -> Any:
@@ -615,13 +615,13 @@ class Intracomm:
             algo, self._rank, self._core.size, sendobj, op, send, recv
         )
 
-    @_hooks.traced_collective
+    @coll.traced_collective
     def scan(self, sendobj: Any, op: Op = SUM) -> Any:
         """Inclusive prefix reduction over ranks."""
         send, recv = self._obj_transports()
         return coll.scan_linear(self._rank, self._core.size, sendobj, op, send, recv)
 
-    @_hooks.traced_collective
+    @coll.traced_collective
     def exscan(self, sendobj: Any, op: Op = SUM) -> Any:
         """Exclusive prefix reduction; rank 0 gets ``None``."""
         send, recv = self._obj_transports()
@@ -632,7 +632,7 @@ class Intracomm:
     def _array_split(values: Any, n: int) -> list[Any]:
         return list(np.array_split(values, n))
 
-    @_hooks.traced_collective
+    @coll.traced_collective
     def Bcast(self, buf: Any, root: int = 0, *, algorithm: str | None = None) -> None:
         """Broadcast a typed buffer in place."""
         self._check_peer(root, wildcard=False, what="root")
@@ -651,7 +651,7 @@ class Intracomm:
         if self._rank != root:
             self._fill_array(spec, values)
 
-    @_hooks.traced_collective
+    @coll.traced_collective
     def Scatter(self, sendbuf: Any, recvbuf: Any, root: int = 0) -> None:
         """Scatter equal contiguous chunks of ``sendbuf`` from root."""
         self._check_peer(root, wildcard=False, what="root")
@@ -670,7 +670,7 @@ class Intracomm:
         values = coll.scatter_linear(self._rank, size, root, chunks, send, recv)
         self._fill_array(parse_buffer(recvbuf), values)
 
-    @_hooks.traced_collective
+    @coll.traced_collective
     def Scatterv(self, sendbuf: Any, recvbuf: Any, root: int = 0) -> None:
         """Scatter variable-size segments ``[data, counts, displs, type]``."""
         self._check_peer(root, wildcard=False, what="root")
@@ -686,7 +686,7 @@ class Intracomm:
         values = coll.scatter_linear(self._rank, size, root, chunks, send, recv)
         self._fill_array(parse_buffer(recvbuf), values)
 
-    @_hooks.traced_collective
+    @coll.traced_collective
     def Gather(self, sendbuf: Any, recvbuf: Any, root: int = 0) -> None:
         """Gather equal chunks into root's buffer, ordered by rank."""
         self._check_peer(root, wildcard=False, what="root")
@@ -700,7 +700,7 @@ class Intracomm:
             rspec = parse_buffer(recvbuf)
             self._place_parts(rspec, parts, uniform=True)
 
-    @_hooks.traced_collective
+    @coll.traced_collective
     def Gatherv(self, sendbuf: Any, recvbuf: Any, root: int = 0) -> None:
         """Gather variable-size segments into ``[data, counts, displs, type]``."""
         self._check_peer(root, wildcard=False, what="root")
@@ -721,7 +721,7 @@ class Intracomm:
                     )
                 vspec.array[d : d + c] = arr.astype(vspec.datatype.np_dtype, copy=False)
 
-    @_hooks.traced_collective
+    @coll.traced_collective
     def Allgather(
         self, sendbuf: Any, recvbuf: Any, *, algorithm: str | None = None
     ) -> None:
@@ -738,7 +738,7 @@ class Intracomm:
         )
         self._place_parts(parse_buffer(recvbuf), parts, uniform=True)
 
-    @_hooks.traced_collective
+    @coll.traced_collective
     def Alltoall(self, sendbuf: Any, recvbuf: Any) -> None:
         """Typed personalized exchange of equal chunks."""
         size = self._core.size
@@ -754,7 +754,7 @@ class Intracomm:
         parts = coll.alltoall_pairwise(self._rank, size, outgoing, send, recv)
         self._place_parts(parse_buffer(recvbuf), parts, uniform=True)
 
-    @_hooks.traced_collective
+    @coll.traced_collective
     def Reduce(
         self,
         sendbuf: Any,
@@ -780,7 +780,7 @@ class Intracomm:
         if self._rank == root:
             self._fill_array(parse_buffer(recvbuf), result)
 
-    @_hooks.traced_collective
+    @coll.traced_collective
     def Allreduce(
         self,
         sendbuf: Any,

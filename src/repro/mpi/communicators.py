@@ -32,7 +32,7 @@ from typing import Any
 import numpy as np
 
 from . import collectives as _coll
-from . import hooks as _hooks
+from ..obs.hooks import mpi as _hooks
 from .ops import SUM, Op
 
 __all__ = ["COMMUNICATOR_NAMES", "CommunicatorView", "create_communicator"]
@@ -137,7 +137,7 @@ class _TopologyCommunicator(CommunicatorView):
     def _run_schedule(self, value: Any, op: Op, obj_mode: bool) -> Any:
         raise NotImplementedError
 
-    @_hooks.traced_collective
+    @_coll.traced_collective
     def allreduce(self, sendobj: Any, op: Op = SUM) -> Any:
         self._emit_algo("allreduce", self.variant)
         comm = self._comm
@@ -147,7 +147,7 @@ class _TopologyCommunicator(CommunicatorView):
             send, recv = comm._obj_transports()
         return self._schedule(comm.rank, comm.size, sendobj, op, send, recv)
 
-    @_hooks.traced_collective
+    @_coll.traced_collective
     def Allreduce(self, sendbuf: Any, recvbuf: Any, op: Op = SUM) -> None:
         self._emit_algo("allreduce", self.variant)
         comm = self._comm

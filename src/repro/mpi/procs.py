@@ -68,7 +68,7 @@ import numpy as np
 
 from . import algorithms as _algos
 from . import collectives as _coll_algos
-from . import hooks as _hooks
+from ..obs.hooks import mpi as _hooks
 from . import serial as _serial
 from . import shm as _shm
 from .buffers import BufferSpec, parse_buffer
@@ -603,7 +603,7 @@ class ProcComm:
             handle = BufferHandle(None, (piece.size,), dtype, data=piece.tobytes())
             self._post_raw(dest, "coll", seq, handle, piece.nbytes)
 
-    @_hooks.traced_collective
+    @_coll_algos.traced_collective
     def barrier(self) -> None:
         self._pick("barrier")
         seq = self._next_seq()
@@ -612,7 +612,7 @@ class ProcComm:
 
     Barrier = barrier
 
-    @_hooks.traced_collective
+    @_coll_algos.traced_collective
     def bcast(self, obj: Any, root: int = 0, *, algorithm: str | None = None) -> Any:
         self._check_peer(root, wildcard=False, what="root")
         algo = self._pick("bcast", requested=algorithm)
@@ -625,7 +625,7 @@ class ProcComm:
         )
         return obj if self._rank == root else pickle.loads(result)
 
-    @_hooks.traced_collective
+    @_coll_algos.traced_collective
     def scatter(self, sendobj: Sequence[Any] | None, root: int = 0) -> Any:
         self._check_peer(root, wildcard=False, what="root")
         seq = self._next_seq()
@@ -641,7 +641,7 @@ class ProcComm:
             self._rank, self._size, root, chunks, send, recv
         )
 
-    @_hooks.traced_collective
+    @_coll_algos.traced_collective
     def gather(self, sendobj: Any, root: int = 0) -> list[Any] | None:
         self._check_peer(root, wildcard=False, what="root")
         seq = self._next_seq()
@@ -650,14 +650,14 @@ class ProcComm:
             self._rank, self._size, root, sendobj, send, recv
         )
 
-    @_hooks.traced_collective
+    @_coll_algos.traced_collective
     def allgather(self, sendobj: Any, *, algorithm: str | None = None) -> list[Any]:
         algo = self._pick("allgather", requested=algorithm)
         seq = self._next_seq()
         send, recv = self._obj_transports(seq)
         return _algos.run_allgather(algo, self._rank, self._size, sendobj, send, recv)
 
-    @_hooks.traced_collective
+    @_coll_algos.traced_collective
     def reduce(
         self,
         sendobj: Any,
@@ -674,7 +674,7 @@ class ProcComm:
             algo, self._rank, self._size, root, sendobj, op, send, recv
         )
 
-    @_hooks.traced_collective
+    @_coll_algos.traced_collective
     def allreduce(
         self, sendobj: Any, op: Op = SUM, *, algorithm: str | None = None
     ) -> Any:
@@ -690,7 +690,7 @@ class ProcComm:
     def _array_split(values: Any, n: int) -> list[np.ndarray]:
         return list(np.array_split(values, n))
 
-    @_hooks.traced_collective
+    @_coll_algos.traced_collective
     def Bcast(self, buf: Any, root: int = 0, *, algorithm: str | None = None) -> None:
         """Broadcast a typed buffer in place.
 
@@ -725,7 +725,7 @@ class ProcComm:
         if self._rank != root:
             self._fill_spec(spec, np.asarray(values))
 
-    @_hooks.traced_collective
+    @_coll_algos.traced_collective
     def Scatter(self, sendbuf: Any, recvbuf: Any, root: int = 0) -> None:
         """Scatter equal contiguous chunks of ``sendbuf`` from root."""
         self._check_peer(root, wildcard=False, what="root")
@@ -748,7 +748,7 @@ class ProcComm:
             return
         self._fill_spec(rspec, self._coll_recv_buf(seq * _PHASE_SPAN, root))
 
-    @_hooks.traced_collective
+    @_coll_algos.traced_collective
     def Gather(self, sendbuf: Any, recvbuf: Any, root: int = 0) -> None:
         """Gather equal chunks into root's buffer, ordered by rank."""
         self._check_peer(root, wildcard=False, what="root")
@@ -762,7 +762,7 @@ class ProcComm:
         if self._rank == root:
             self._place_parts(parse_buffer(recvbuf), parts)
 
-    @_hooks.traced_collective
+    @_coll_algos.traced_collective
     def Allgather(
         self, sendbuf: Any, recvbuf: Any, *, algorithm: str | None = None
     ) -> None:
@@ -785,7 +785,7 @@ class ProcComm:
         else:
             self._fill_spec(rspec, np.asarray(parts))
 
-    @_hooks.traced_collective
+    @_coll_algos.traced_collective
     def Reduce(
         self,
         sendbuf: Any,
@@ -813,7 +813,7 @@ class ProcComm:
         if self._rank == root:
             self._fill_spec(parse_buffer(recvbuf), np.asarray(result))
 
-    @_hooks.traced_collective
+    @_coll_algos.traced_collective
     def Allreduce(
         self,
         sendbuf: Any,

@@ -7,7 +7,7 @@ import pickle
 import threading
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
-from . import hooks as _hooks
+from ..obs.hooks import mpi as _hooks
 from .message import wait_event
 from .status import Status
 

@@ -4,7 +4,7 @@ Teaching aid and benchmarking instrument: wrap a world in a
 :class:`CommTracer` to record every user-context message (source, dest,
 tag, bytes), then summarize as per-rank totals or a traffic matrix.
 
-The tracer is a consumer of the :mod:`repro.mpi.hooks` event bus — the
+The tracer is a consumer of the :data:`repro.obs.hooks.mpi` seam — the
 same seam the :mod:`repro.obs` recorders subscribe to — rather than a
 mailbox monkey-patch: it attaches a plain (untimestamped) observer and
 keeps only the events whose communicator id matches the communicator it
@@ -20,7 +20,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any
 
-from . import hooks as _hooks
+from ..obs.hooks import mpi as _hooks
 
 __all__ = ["MessageRecord", "TraceReport", "CommTracer", "trace_run"]
 

@@ -1,82 +1,55 @@
 """``repro.obs`` — unified tracing, metrics, and timeline profiling.
 
-One event bus spans both runtimes: :mod:`repro.openmp.hooks` and
-:mod:`repro.mpi.hooks` feed timestamped events into a bounded
+One event bus spans both runtimes: the two seams of :mod:`repro.obs.hooks`
+(``openmp`` and ``mpi``) feed timestamped events into a bounded
 :class:`Recorder`; :func:`build_profile` pairs them into spans, lanes,
 and wait attribution; exporters render Chrome trace-event JSON (open in
 Perfetto) and JSON reports.  ``repro trace <target>`` is the CLI front
 end.  See ``docs/observability.md`` for the guided tour.
 """
 
-from .events import Event, sanitize_args
-from .export import (
-    profile_report,
-    to_chrome_trace,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
-from .metrics import (
-    Counter,
-    Histogram,
-    MetricSet,
-    collect_metrics,
-    register_provider,
-    serialization_totals,
-    snapshot_providers,
-    unregister_provider,
-)
-from .profile import (
-    Lane,
-    RunProfile,
-    Span,
-    build_profile,
-    render_text,
-    render_timeline,
-    timeline_from_events,
-)
-from .recorder import (
-    ForwardedEvents,
-    Recorder,
-    active,
-    adopt_forked_recorder,
-    collect_forwarded,
-    ingest_forwarded,
-    record,
-    run_traced_chunk,
-)
-from .targets import EXEMPLARS, resolve_target, trace_target
+from .._lazy import attach as _attach
 
-__all__ = [
-    "Event",
-    "sanitize_args",
-    "Recorder",
-    "ForwardedEvents",
-    "record",
-    "active",
-    "run_traced_chunk",
-    "adopt_forked_recorder",
-    "collect_forwarded",
-    "ingest_forwarded",
-    "Counter",
-    "Histogram",
-    "MetricSet",
-    "collect_metrics",
-    "serialization_totals",
-    "register_provider",
-    "unregister_provider",
-    "snapshot_providers",
-    "Span",
-    "Lane",
-    "RunProfile",
-    "build_profile",
-    "render_text",
-    "render_timeline",
-    "timeline_from_events",
-    "to_chrome_trace",
-    "write_chrome_trace",
-    "profile_report",
-    "validate_chrome_trace",
-    "EXEMPLARS",
-    "resolve_target",
-    "trace_target",
-]
+# Each name is imported on first use: the runtimes import the hook seam
+# (``repro.obs.hooks``) and the course server imports ``metrics``, and
+# neither pays for the recorder, the profiler or the exporters.
+_EXPORTS = {
+    "Event": "events",
+    "sanitize_args": "events",
+    "Recorder": "recorder",
+    "ForwardedEvents": "recorder",
+    "record": "recorder",
+    "active": "recorder",
+    "run_traced_chunk": "recorder",
+    "adopt_forked_recorder": "recorder",
+    "collect_forwarded": "recorder",
+    "ingest_forwarded": "recorder",
+    "Counter": "metrics",
+    "Histogram": "metrics",
+    "MetricSet": "metrics",
+    "collect_metrics": "metrics",
+    "serialization_totals": "metrics",
+    "register_provider": "metrics",
+    "unregister_provider": "metrics",
+    "snapshot_providers": "metrics",
+    "Span": "profile",
+    "Lane": "profile",
+    "RunProfile": "profile",
+    "build_profile": "profile",
+    "render_text": "profile",
+    "render_timeline": "profile",
+    "timeline_from_events": "profile",
+    "to_chrome_trace": "export",
+    "write_chrome_trace": "export",
+    "profile_report": "export",
+    "validate_chrome_trace": "export",
+    "EXEMPLARS": "targets",
+    "resolve_target": "targets",
+    "trace_target": "targets",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _attach(
+    __name__,
+    _EXPORTS,
+    submodules=("events", "export", "hooks", "metrics", "profile", "recorder", "targets"),
+)

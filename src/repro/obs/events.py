@@ -1,7 +1,7 @@
 """The observability event model.
 
 An :class:`Event` is one timestamped occurrence captured from a runtime
-hook seam (:mod:`repro.openmp.hooks` or :mod:`repro.mpi.hooks`).  Events
+hook seam (:data:`repro.obs.hooks.openmp` or :data:`repro.obs.hooks.mpi`).  Events
 are *flat* — plain scalars only — so they pickle cheaply across the
 process-backend boundary and serialize stably into trace files.  Hook
 arguments that are live runtime objects (teams, counters) are reduced to

@@ -1,8 +1,8 @@
 """Bounded event recorders over the runtime hook seams.
 
-A :class:`Recorder` attaches (timestamped) to *both* hook modules —
-:mod:`repro.openmp.hooks` and :mod:`repro.mpi.hooks` — and files every
-event into a bounded ring buffer (old events fall off the front; the
+A :class:`Recorder` attaches (timestamped) to *both* runtime seams —
+:data:`repro.obs.hooks.openmp` and :data:`repro.obs.hooks.mpi` — and files
+every event into a bounded ring buffer (old events fall off the front; the
 ``dropped`` counter says how many).  The usual entry point is the
 :func:`record` context manager, which also registers the recorder as the
 process-wide *active* recorder that the process backends forward into.
@@ -42,9 +42,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
-from ..mpi import hooks as _mpi_hooks
-from ..openmp import hooks as _omp_hooks
 from .events import Event, sanitize_args
+from .hooks import mpi as _mpi_hooks
+from .hooks import openmp as _omp_hooks
 
 __all__ = [
     "Recorder",

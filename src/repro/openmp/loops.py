@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from . import backends as _backends
-from . import hooks as _hooks
+from ..obs.hooks import openmp as _hooks
 from .env import get_config
 from .reduction import Reduction, get_reduction
 from .scheduling import (

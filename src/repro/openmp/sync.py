@@ -11,7 +11,7 @@ import contextlib
 import threading
 from typing import Any, Callable, Generator, Iterator
 
-from . import hooks as _hooks
+from ..obs.hooks import openmp as _hooks
 from .team import _claim_single, current_team, get_thread_num
 
 __all__ = [

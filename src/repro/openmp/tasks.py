@@ -21,7 +21,7 @@ import threading
 from collections import deque
 from typing import Any, Callable
 
-from . import hooks as _hooks
+from ..obs.hooks import openmp as _hooks
 from .team import current_team
 
 __all__ = ["TaskHandle", "task", "taskwait", "taskgroup"]

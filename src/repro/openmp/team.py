@@ -16,7 +16,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable
 
-from . import hooks as _hooks
+from ..obs.hooks import openmp as _hooks
 from .env import MAX_TEAM_SIZE, get_config
 
 __all__ = [

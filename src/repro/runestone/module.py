@@ -81,17 +81,38 @@ class Chapter:
 
 @dataclass
 class Module:
-    """A complete self-paced virtual handout."""
+    """A complete self-paced virtual handout.
+
+    Questions are indexed by activity id for :meth:`find_question`, which
+    every submission calls.  :meth:`add` and :meth:`reindex` rebuild the
+    index; an edit that changes questions any other way must call
+    :meth:`reindex` (a served module changes only through
+    ``CohortRegistry.edit_module``, which does).
+    """
 
     slug: str
     title: str
     audience: str
     chapters: list[Chapter] = field(default_factory=list)
     target_minutes: int = 120  # "approximately 2 hours"
+    _questions: dict[str, Question] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        self.reindex()
 
     def add(self, chapter: Chapter) -> "Module":
         self.chapters.append(chapter)
+        self.reindex()
         return self
+
+    def reindex(self) -> None:
+        """Rebuild the activity-id index (the first question wins a duplicate id)."""
+        index: dict[str, Question] = {}
+        for q in self.all_questions():
+            index.setdefault(q.activity_id, q)
+        self._questions = index
 
     # ----------------------------------------------------------------- queries
     def all_sections(self) -> Iterator[Section]:
@@ -105,10 +126,10 @@ class Module:
         return [a for s in self.all_sections() for a in s.activities]
 
     def find_question(self, activity_id: str) -> Question:
-        for q in self.all_questions():
-            if q.activity_id == activity_id:
-                return q
-        raise KeyError(f"no question {activity_id!r} in module {self.slug}")
+        try:
+            return self._questions[activity_id]
+        except (KeyError, TypeError):
+            raise KeyError(f"no question {activity_id!r} in module {self.slug}") from None
 
     def find_section(self, number: str) -> Section:
         for s in self.all_sections():

@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from ..mpi.launcher import parse_mpirun_command, run_script
-
 __all__ = ["MarkdownCell", "CodeCell", "CellResult", "Notebook"]
 
 
@@ -122,6 +120,10 @@ class Notebook:
         return CellResult(index, "writefile", stdout=f"Writing {filename}")
 
     def _run_shell(self, index: int, cell: CodeCell) -> CellResult:
+        # Imported here, not at module load: building or serving a handout
+        # runs no cell, and the launcher loads the whole MPI runtime.
+        from ..mpi.launcher import parse_mpirun_command, run_script
+
         command = cell.first_line[1:].strip()
         if not command.startswith(("mpirun", "mpiexec")):
             raise ValueError(

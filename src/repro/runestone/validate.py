@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..patternlets import get_patternlet
 from .content import Video
 from .module import Module
 from .questions import (
@@ -105,6 +104,9 @@ def validate_module(module: Module, run_activities: bool = False) -> list[Findin
                 )
 
     # ---- activities ----------------------------------------------------------------
+    # The catalog loads both runtimes; only this check needs it.
+    from ..patternlets import get_patternlet
+
     for section in module.all_sections():
         for activity in section.activities:
             where = f"{section.number}:{activity.title}"

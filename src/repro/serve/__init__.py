@@ -22,49 +22,43 @@ serving layer grown from the in-process engine in :mod:`repro.runestone`:
 See ``docs/serving.md`` for the guided tour.
 """
 
-from .app import CourseApp
-from .asgi import Client, ClientResponse, HTTPError, Request, Response, run_app
-from .cache import RenderCache
-from .httpd import CourseServer, make_server, serve_forever, start_background
-from .load import LoadReport, answer_pool, run_load
-from .middleware import (
-    Backpressure,
-    Deadline,
-    ErrorEnvelope,
-    Latency,
-    ServeMetrics,
-    check_deadline,
-)
-from .registry import Cohort, CohortRegistry, demo_registry
-from .store import JsonlBackend, MemoryBackend, ProgressStore, open_backend
+from .._lazy import attach as _attach
 
-__all__ = [
-    "CourseApp",
-    "Client",
-    "ClientResponse",
-    "HTTPError",
-    "Request",
-    "Response",
-    "run_app",
-    "RenderCache",
-    "CourseServer",
-    "make_server",
-    "serve_forever",
-    "start_background",
-    "LoadReport",
-    "answer_pool",
-    "run_load",
-    "Backpressure",
-    "Deadline",
-    "ErrorEnvelope",
-    "Latency",
-    "ServeMetrics",
-    "check_deadline",
-    "Cohort",
-    "CohortRegistry",
-    "demo_registry",
-    "JsonlBackend",
-    "MemoryBackend",
-    "ProgressStore",
-    "open_backend",
-]
+# Each name is imported on first use: a server that answers requests in
+# process never loads ``httpd`` (and ``http.server``) or the load harness.
+_EXPORTS = {
+    "CourseApp": "app",
+    "Client": "asgi",
+    "ClientResponse": "asgi",
+    "HTTPError": "asgi",
+    "Request": "asgi",
+    "Response": "asgi",
+    "run_app": "asgi",
+    "RenderCache": "cache",
+    "CourseServer": "httpd",
+    "make_server": "httpd",
+    "serve_forever": "httpd",
+    "start_background": "httpd",
+    "LoadReport": "load",
+    "answer_pool": "load",
+    "run_load": "load",
+    "Backpressure": "middleware",
+    "Deadline": "middleware",
+    "ErrorEnvelope": "middleware",
+    "Latency": "middleware",
+    "ServeMetrics": "middleware",
+    "check_deadline": "middleware",
+    "Cohort": "registry",
+    "CohortRegistry": "registry",
+    "demo_registry": "registry",
+    "JsonlBackend": "store",
+    "MemoryBackend": "store",
+    "ProgressStore": "store",
+    "open_backend": "store",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _attach(
+    __name__,
+    _EXPORTS,
+    submodules=("app", "asgi", "cache", "httpd", "load", "middleware", "registry", "store"),
+)

@@ -8,9 +8,10 @@ cohort owns an isolated :class:`~repro.serve.store.ProgressStore`, so
 tenants never see each other's gradebooks, and a per-cohort
 ``instructor_key`` gates the instructor surfaces.
 
-Module edits go through :meth:`CohortRegistry.edit_module`, which bumps
-the module's version and notifies listeners — that is the explicit
-invalidation seam the rendered-module cache subscribes to.
+Module edits go through :meth:`CohortRegistry.edit_module`, which
+re-indexes the module's questions, bumps its version and notifies
+listeners — that is the explicit invalidation seam the rendered-module
+cache subscribes to.
 """
 
 from __future__ import annotations
@@ -86,13 +87,16 @@ class CohortRegistry:
         """Apply an authoring edit and broadcast the invalidation.
 
         ``edit`` mutates the module in place (may be ``None`` when the
-        caller already mutated it); either way the version bumps and
-        every listener hears about it.  Returns the new version.
+        caller already mutated it); either way the module's question index
+        is rebuilt, the version bumps and every listener hears about it.
+        This is the only way a served module may change.  Returns the new
+        version.
         """
         with self._lock:
             module = self.module(module_id)
             if edit is not None:
                 edit(module)
+            module.reindex()
             self.module_versions[module_id] = self.module_version(module_id) + 1
             version = self.module_versions[module_id]
         for listener in list(self._edit_listeners):

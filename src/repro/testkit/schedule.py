@@ -1,7 +1,7 @@
 """Deterministic schedule control for the ``repro.openmp`` runtime.
 
 The shared-memory runtime already announces every synchronization and
-memory event through :mod:`repro.openmp.hooks` — and observers run *in
+memory event through :data:`repro.obs.hooks.openmp` — and observers run *in
 the emitting thread*, which means an observer can park that thread.  The
 :class:`ScheduleController` exploits this: it serializes a team so that
 exactly one member runs at a time, and at every instrumented yield point
@@ -37,7 +37,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from ..openmp import hooks as _hooks
+from ..obs.hooks import openmp as _hooks
 
 __all__ = [
     "Decision",
@@ -205,9 +205,10 @@ def decode_token(token: str) -> tuple[int, list[int]]:
 class ScheduleController:
     """Observer that serializes a team and drives it from a :class:`Scheduler`.
 
-    Attach with ``hooks.attach(controller)`` (plain observer); the first
-    ``fork`` it sees becomes the controlled region.  Nested regions are
-    serialized by the runtime (team of one) and pass through uncontrolled.
+    Attach with ``repro.obs.hooks.openmp.attach(controller)`` (plain
+    observer); the first ``fork`` it sees becomes the controlled region.
+    Nested regions are serialized by the runtime (team of one) and pass
+    through uncontrolled.
     """
 
     def __init__(self, scheduler: Scheduler, stall_timeout: float = 10.0) -> None:

@@ -187,7 +187,7 @@ class TestTrackedVarApi:
 
 class TestDetectorOverheadIsolation:
     def test_hooks_disabled_outside_context(self):
-        from repro.openmp import hooks
+        from repro.obs.hooks import openmp as hooks
 
         assert not hooks.enabled
         with race_detector():

@@ -37,7 +37,7 @@ from repro.mpi import (
     run,
     run_procs,
 )
-from repro.mpi import hooks as mpi_hooks
+from repro.obs.hooks import mpi as mpi_hooks
 from repro.mpi.algorithms import algorithm_cost, message_count
 from repro.testkit import fault_injection
 

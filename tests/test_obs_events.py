@@ -4,9 +4,9 @@ import threading
 
 import pytest
 
-from repro.mpi import hooks as mpi_hooks
+from repro.obs.hooks import mpi as mpi_hooks
 from repro.obs import Event, Recorder, active, record, sanitize_args
-from repro.openmp import hooks as omp_hooks
+from repro.obs.hooks import openmp as omp_hooks
 
 
 class TestTimestampedObservers:
@@ -83,11 +83,14 @@ class TestTimestampedObservers:
             def observe(self, event, *args):
                 pass
 
-        w = Watcher()
-        mpi_hooks.attach(w.observe)
-        assert mpi_hooks.enabled
-        mpi_hooks.detach(w.observe)  # a *different* bound-method object
-        assert not mpi_hooks.enabled
+        for seam in (mpi_hooks, omp_hooks):
+            w = Watcher()
+            seam.attach(w.observe)
+            seam.attach(w.observe)  # equal to the one attached: not added twice
+            assert seam.enabled
+            assert len(seam._observers) == 1
+            seam.detach(w.observe)  # a *different* bound-method object
+            assert not seam.enabled
 
     def test_enabled_reflects_either_observer_kind(self):
         def t(ts, event, *args):

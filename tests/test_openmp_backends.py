@@ -32,7 +32,8 @@ from repro.openmp import (
     scoped,
     set_backend,
 )
-from repro.openmp import backends, hooks
+from repro.obs.hooks import openmp as hooks
+from repro.openmp import backends
 from repro.openmp.env import _reset_for_testing
 
 BOTH_BACKENDS = pytest.mark.parametrize("backend", ["threads", "processes"])

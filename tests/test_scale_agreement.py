@@ -2,7 +2,7 @@
 
 The cost analyzer claims it can predict an exemplar's communication
 volume without running it.  This suite runs the three MPI exemplars with
-an observer on the :mod:`repro.mpi.hooks` seam, counts every user-level
+an observer on the :data:`repro.obs.hooks.mpi` seam, counts every user-level
 ``send`` and collective-transport ``coll_msg`` event (and their bytes),
 and requires the static model's sample at the same ``(N, P)`` to agree
 within 10% — the acceptance bar from the issue; in practice the model is
@@ -12,7 +12,7 @@ exact on all three.
 import pytest
 
 from repro.analysis.scale.cost import analyze_module_cost
-from repro.mpi import hooks
+from repro.obs.hooks import mpi as hooks
 
 
 class _CommMeter:
