@@ -107,10 +107,9 @@ class MPIChecker:
         state = _WorldState(world, len(self._states))
         with self._mutex:
             self._states.append(state)
-        core = world.comm_world._core
-        for rank, view in enumerate(core.views):
+        for rank, view in enumerate(world.comm_views):
             self._wrap_view(state, view, rank)
-        for rank, mailbox in enumerate(core.user_boxes):
+        for rank, mailbox in enumerate(world.comm_core.user_boxes):
             self._wrap_mailbox(state, mailbox, rank)
         return state
 
@@ -460,8 +459,7 @@ class MPIChecker:
                     "(missing wait/test)",
                     state,
                 )
-        core = state.world.comm_world._core
-        for rank, mailbox in enumerate(core.user_boxes):
+        for rank, mailbox in enumerate(state.world.comm_core.user_boxes):
             with mailbox._lock:
                 pending = list(mailbox._pending)
             for msg in pending:

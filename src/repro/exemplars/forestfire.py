@@ -22,6 +22,9 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+# NumPy loads numpy.random on first use.  Load it with this module, before
+# any pool worker or MPI rank is forked, so no child imports it per fork.
+import numpy.random  # noqa: F401
 
 from ..mpi import mpirun
 from ..openmp import parallel_for_chunks

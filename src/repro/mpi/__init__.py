@@ -48,7 +48,7 @@ from .launcher import (
     run_script,
 )
 from .message import BufferHandle
-from .procs import ProcCartcomm, ProcComm, fork_available, run_procs
+from .procs import fork_available, run_procs
 from .ops import MAX, MAXLOC, MIN, MINLOC, PROD, SUM, Op
 from .serial import (
     counted_dumps,
@@ -85,8 +85,6 @@ __all__ = [
     "MpirunInvocation",
     "ScriptResult",
     "MPI_BACKENDS",
-    "ProcComm",
-    "ProcCartcomm",
     "run_procs",
     "fork_available",
     "BufferHandle",

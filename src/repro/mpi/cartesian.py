@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .comm import CommCore, Intracomm
+from .comm import Intracomm, Transport
 from .constants import PROC_NULL
 
 __all__ = ["Cartcomm", "compute_dims"]
@@ -44,12 +44,13 @@ class Cartcomm(Intracomm):
 
     def __init__(
         self,
-        core: CommCore,
-        rank: int,
+        tp: Transport,
+        name: str = "MPI_COMM_WORLD",
+        *,
         dims: Sequence[int],
         periods: Sequence[bool],
     ) -> None:
-        super().__init__(core, rank)
+        super().__init__(tp, name)
         self._dims = tuple(int(d) for d in dims)
         self._periods = tuple(bool(p) for p in periods)
 
@@ -71,20 +72,21 @@ class Cartcomm(Intracomm):
 
     def Get_topo(self) -> tuple[tuple[int, ...], tuple[bool, ...], tuple[int, ...]]:
         """Return ``(dims, periods, my_coords)``."""
-        return self._dims, self._periods, self.Get_coords(self._rank)
+        return self._dims, self._periods, tuple(self.Get_coords(self._rank))
 
-    def Get_coords(self, rank: int) -> tuple[int, ...]:
-        """Row-major coordinates of ``rank`` on the grid."""
-        if not 0 <= rank < self._core.size:
+    def Get_coords(self, rank: int) -> list[int]:
+        """Row-major coordinates of ``rank`` on the grid (a list, as mpi4py
+        returns them)."""
+        if not 0 <= rank < self._size:
             raise ValueError(f"rank {rank} outside cartesian communicator")
         coords = []
         for extent in reversed(self._dims):
             coords.append(rank % extent)
             rank //= extent
-        return tuple(reversed(coords))
+        return coords[::-1]
 
     @property
-    def coords(self) -> tuple[int, ...]:
+    def coords(self) -> list[int]:
         return self.Get_coords(self._rank)
 
     def Get_cart_rank(self, coords: Sequence[int]) -> int:
@@ -113,7 +115,7 @@ class Cartcomm(Intracomm):
         """
         if not 0 <= direction < len(self._dims):
             raise ValueError(f"invalid shift direction {direction}")
-        me = list(self.Get_coords(self._rank))
+        me = self.Get_coords(self._rank)
 
         def neighbor(offset: int) -> int:
             coords = list(me)

@@ -2,7 +2,7 @@
 
 Every collective in :class:`repro.mpi.comm.Intracomm` is implemented here on
 top of internal point-to-point transfers in a dedicated *collective context*
-(a second mailbox set per communicator), exactly as real MPI libraries
+(a second context per communicator, on either transport), exactly as real MPI libraries
 separate contexts so user ``ANY_TAG`` receives can never steal collective
 traffic.
 
@@ -76,7 +76,7 @@ __all__ = [
 def traced_collective(fn: Callable[..., Any]) -> Callable[..., Any]:
     """Bracket a communicator collective with ``coll_enter``/``coll_exit``.
 
-    Decorates ``Intracomm``/``ProcComm`` methods; the communicator supplies
+    Decorates ``Intracomm`` methods; the communicator supplies
     its context id via ``_obs_cid`` and its rank via ``_rank``.  With no
     observer on the MPI hook seam the wrapper is a single falsy branch over
     the undecorated call.

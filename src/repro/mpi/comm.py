@@ -1,17 +1,27 @@
 """The intracommunicator: mpi4py's ``Comm`` API surface, from scratch.
 
-One :class:`CommCore` holds the shared state of a communicator (mailboxes,
-membership, context id); each rank interacts through its own
-:class:`Intracomm` *view* bound to that core.  The lowercase verbs move
-pickled Python objects (value semantics); the uppercase verbs move typed
-NumPy buffers, as the mpi4py tutorial prescribes.
+Every verb is written once, here, over a small per-rank *transport*: the
+endpoint one rank holds on one communicator (see :class:`Transport`).  It
+has two implementations:
+
+* :class:`repro.mpi.message.MailboxTransport` — the thread world's
+  mailboxes, one address space (the teaching runtime, like Colab);
+* :class:`repro.mpi.procs.QueueTransport` — forked ranks' inbox queues,
+  typed payloads in shared memory (real processes, like a cluster).
+
+Argument checks, fault-plan operation counts, hook events, collective
+sequencing, algorithm picks and buffer placement therefore behave the same
+on both.  The lowercase verbs move pickled Python objects (value
+semantics); the uppercase verbs move typed NumPy buffers, as the mpi4py
+tutorial prescribes.  ``ssend``/``issend`` (a ``threading.Event``
+rendezvous), windows and files need one address space and stay on threads.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
-from typing import Any, Callable, Sequence
+import threading
+from typing import Any, Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -30,184 +40,169 @@ from .errors import (
     WorldAbortedError,
 )
 from .group import Group
-from .message import Mailbox, Message, wait_event
+from .message import COLL, USER, Message, wait_event
 from .ops import SUM, Op
 from .request import BufferRecvRequest, RecvRequest, Request, SendRequest
 from .status import Status
 
-__all__ = ["CommCore", "Intracomm"]
+__all__ = ["Intracomm", "Transport"]
 
 #: Phase multiplier for internal collective tags: phases must stay below this.
 _PHASE_SPAN = 1024
 
 
-def _batch_limit() -> int:
-    """Per-edge send-coalescing threshold for the threaded backend (bytes).
+class Transport(Protocol):
+    """One rank's endpoint of one communicator.
 
-    Off by default: mailbox delivery is a list append under a lock, so
-    coalescing buys little here and costs envelope latency.  Setting
-    ``REPRO_MPI_BATCH_BYTES`` opts in (it also tunes the process backend,
-    where batching defaults on — see :mod:`repro.mpi.procs`).
+    ``ctx`` is :data:`~repro.mpi.message.USER` or
+    :data:`~repro.mpi.message.COLL`: each communicator has a user and a
+    collective context, so collective traffic never matches a user receive.
+    Peers are ranks of the communicator.  A transport that holds envelopes
+    back (the process edge batches small ones) flushes them itself before
+    it blocks, before a nonblocking match, and when the rank ends.
     """
-    env = os.environ.get("REPRO_MPI_BATCH_BYTES")
-    if env is not None:
-        try:
-            return max(0, int(env))
-        except ValueError:
-            return 0
-    return 0
+
+    rank: int
+    size: int
+    world_ranks: tuple[int, ...]
+    cid: int  # context id: equal on every member, distinct between communicators
+    hostname: str
+    injector: Any  # the armed ``repro.testkit`` fault injector, or None
+
+    def post(self, ctx: int, dest: int, tag: int, payload: Any, nbytes: int,
+             sync: threading.Event | None = None) -> None:
+        """Deliver one envelope (``sync`` is set when a receive matches it)."""
+
+    def match(self, ctx: int, source: int, tag: int, block: bool = True,
+              remove: bool = True) -> Message | None:
+        """The earliest pending envelope matching ``source``/``tag``
+        (wildcards allowed): removed unless ``remove`` is false, waited
+        for unless ``block`` is false (then ``None`` if there is none)."""
+
+    def pack(self, values: np.ndarray, dest: int) -> Any:
+        """A wire payload of the contiguous array ``values`` that later
+        writes to the caller's buffer cannot change."""
+
+    def unpack(self, payload: Any, source: int) -> np.ndarray:
+        """The values of a packed payload received from ``source``."""
+
+    def derive(self, cid: int, world_ranks: tuple[int, ...], rank: int) -> "Transport":
+        """This rank's endpoint of a new communicator over ``world_ranks``."""
+
+    def shared(self, key: Any, factory: Callable[[], Any]) -> Any:
+        """One object for every rank calling with ``key`` (one address space)."""
+
+    def check_abort(self) -> None:
+        """Raise if the world has been aborted."""
+
+    def abort(self, error: BaseException) -> None:
+        """Tear the world down with ``error`` (raises it)."""
 
 
-class CommCore:
-    """Shared state of one communicator across all of its rank views."""
+def _derived_cid(parent: int, seq: int, index: int) -> int:
+    """Context id of the ``index``-th communicator made by collective ``seq``.
 
-    def __init__(
-        self,
-        world: Any,
-        world_ranks: Sequence[int],
-        name: str,
-        view_cls: type | None = None,
-        view_kwargs: dict[str, Any] | None = None,
-    ) -> None:
-        self.world = world
-        self.world_ranks = tuple(world_ranks)
-        self.size = len(self.world_ranks)
-        self.cid = world.next_cid()
-        self.name = name
-        self.freed = False
-        self.user_boxes = [Mailbox(world) for _ in range(self.size)]
-        self.coll_boxes = [Mailbox(world) for _ in range(self.size)]
-        self.batch_limit = _batch_limit()
-        view_cls = view_cls or Intracomm
-        view_kwargs = view_kwargs or {}
-        self.views = [view_cls(self, r, **view_kwargs) for r in range(self.size)]
+    An injective map of ``(parent, seq, index)`` (Cantor pairing, shifted
+    past 0), so every member computes the same id without a round trip and
+    no two communicators a process belongs to share one.
+    """
+
+    def pair(a: int, b: int) -> int:
+        return (a + b) * (a + b + 1) // 2 + b
+
+    return pair(pair(parent, seq), index) + 1
 
 
 class Intracomm:
     """One rank's view of a communicator (the object user code receives)."""
 
-    def __init__(self, core: CommCore, rank: int) -> None:
-        self._core = core
-        self._rank = rank
+    def __init__(self, tp: Transport, name: str = "MPI_COMM_WORLD") -> None:
+        self._tp = tp
+        self._rank = tp.rank
+        self._size = tp.size
+        self._name = name
+        self._freed = False
         self._coll_seq = 0
-        #: Per-destination coalescing buffers (active only when the core's
-        #: batch_limit is nonzero; see ``_batch_limit``).
-        self._out_batch: dict[int, list[Message]] = {}
-        self._out_bytes: dict[int, int] = {}
-
-    # ------------------------------------------------------------------ plumbing
-    @classmethod
-    def _create_world(cls, world: Any) -> "Intracomm":
-        core = CommCore(world, range(world.size), "MPI_COMM_WORLD")
-        return core.views[0]
-
-    def _for_rank(self, rank: int) -> "Intracomm":
-        return self._core.views[rank]
-
-    @property
-    def world(self) -> Any:
-        return self._core.world
-
-    @property
-    def mailbox(self) -> Mailbox:
-        return self._core.user_boxes[self._rank]
 
     @property
     def _obs_cid(self) -> int:
-        return self._core.cid
+        return self._tp.cid
 
-    def _put_user(self, dest: int, message: Message) -> None:
-        """Enqueue a user-context message, announcing it to the hook seam."""
-        if _hooks.enabled:
-            _hooks.emit(
-                "send", self._core.cid, self._rank, dest, message.tag,
-                message.nbytes,
-            )
-        injector = self._core.world.injector
-        if injector is not None:
-            # Fault rules count per-edge message ordinals, so injected runs
-            # never coalesce.
-            injector.dispositions(
-                self._world_rank(),
-                self._core.world_ranks[dest],
-                lambda: self._core.user_boxes[dest].put(message),
-            )
-            return
-        limit = self._core.batch_limit
-        if (
-            limit
-            and message.synchronous is None
-            and message.nbytes <= limit
-            and dest != self._rank
-        ):
-            pending = self._out_batch.setdefault(dest, [])
-            pending.append(message)
-            total = self._out_bytes.get(dest, 0) + message.nbytes
-            self._out_bytes[dest] = total
-            if len(pending) >= 16 or total >= 8 * limit:
-                self._flush_dest(dest)
-            return
-        # Non-overtaking: older batched envelopes for this edge must be
-        # delivered before this one.
-        self._flush_dest(dest)
-        self._core.user_boxes[dest].put(message)
-
-    def _flush_dest(self, dest: int) -> None:
-        pending = self._out_batch.get(dest)
-        if not pending:
-            return
-        self._out_batch[dest] = []
-        self._out_bytes[dest] = 0
-        self._core.user_boxes[dest].put_many(pending)
-
-    def _flush_sends(self) -> None:
-        """Deliver every coalesced envelope (called before blocking)."""
-        if not self._out_batch:
-            return
-        for dest, pending in self._out_batch.items():
-            if pending:
-                self._flush_dest(dest)
-
-    def _world_rank(self) -> int:
-        """This view's rank in MPI_COMM_WORLD (fault rules use world ranks)."""
-        return self._core.world_ranks[self._rank]
-
-    def _get_user(self, source: int, tag: int) -> Message:
-        """Blocking mailbox fetch bracketed by recv_enter/recv_exit events."""
-        self._flush_sends()
-        if not _hooks.enabled:
-            return self.mailbox.get(source, tag)
-        cid = self._core.cid
-        _hooks.emit("recv_enter", cid, self._rank, source, tag)
-        msg = self.mailbox.get(source, tag)
-        _hooks.emit("recv_exit", cid, self._rank, msg.source, msg.tag, msg.nbytes)
-        return msg
-
+    # ------------------------------------------------------------------ checks
     def _check_alive(self) -> None:
-        if self._core.freed:
-            raise CommAlreadyFreedError(f"communicator {self._core.name} was freed")
-        self._core.world.check_abort()
-        injector = self._core.world.injector
+        if self._freed:
+            raise CommAlreadyFreedError(f"communicator {self._name} was freed")
+        tp = self._tp
+        tp.check_abort()
+        injector = tp.injector
         if injector is not None:
             # Every verb passes through here, so op counting sees point-to-
             # point and collective calls alike — a crash rule can therefore
             # kill a rank mid-collective, deterministically.
-            injector.on_op(self._world_rank())
+            injector.on_op(tp.world_ranks[self._rank])
 
-    def _check_peer(self, rank: int, *, wildcard: bool, what: str) -> None:
-        if rank == PROC_NULL:
+    def _check(self, peer: int, tag: int, wildcard: bool, what: str) -> None:
+        """One pass over a point-to-point call: live communicator (one
+        fault-plan operation), valid peer, valid tag."""
+        self._check_alive()
+        if peer != PROC_NULL and not (wildcard and peer == ANY_SOURCE):
+            if not 0 <= peer < self._size:
+                raise InvalidRankError(peer, self._size, what)
+        if not (wildcard and tag == ANY_TAG) and not 0 <= tag <= TAG_UB:
+            raise InvalidTagError(tag)
+
+    def _check_root(self, root: int) -> None:
+        if root != PROC_NULL and not 0 <= root < self._size:
+            raise InvalidRankError(root, self._size, "root")
+
+    # --------------------------------------------------------------- transport
+    def _post(self, ctx: int, dest: int, tag: int, payload: Any, nbytes: int,
+              sync: threading.Event | None = None) -> None:
+        """Hand one envelope to the transport, announcing it to the hook
+        seam and passing it through an armed fault plan."""
+        tp = self._tp
+        if _hooks.enabled:
+            if ctx == USER:
+                _hooks.emit("send", tp.cid, self._rank, dest, tag, nbytes)
+            else:
+                _hooks.emit("coll_msg", tp.cid, self._rank, dest, nbytes)
+        injector = tp.injector
+        if injector is None:
+            tp.post(ctx, dest, tag, payload, nbytes, sync)
             return
-        if wildcard and rank == ANY_SOURCE:
-            return
-        if not 0 <= rank < self._core.size:
-            raise InvalidRankError(rank, self._core.size, what)
+        # Fault rules count per-edge message ordinals between world ranks.
+        injector.dispositions(
+            tp.world_ranks[self._rank],
+            tp.world_ranks[dest],
+            lambda: tp.post(ctx, dest, tag, payload, nbytes, sync),
+        )
+
+    def _match(self, source: int, tag: int) -> Message:
+        """Blocking user-context match bracketed by recv_enter/recv_exit."""
+        if not _hooks.enabled:
+            return self._tp.match(USER, source, tag)
+        cid = self._tp.cid
+        _hooks.emit("recv_enter", cid, self._rank, source, tag)
+        msg = self._tp.match(USER, source, tag)
+        _hooks.emit("recv_exit", cid, self._rank, msg.source, msg.tag, msg.nbytes)
+        return msg
 
     @staticmethod
-    def _check_tag(tag: int, *, wildcard: bool) -> None:
-        if wildcard and tag == ANY_TAG:
-            return
-        if not 0 <= tag <= TAG_UB:
-            raise InvalidTagError(tag)
+    def _loads(msg: Message) -> Any:
+        if not isinstance(msg.payload, bytes):
+            raise TypeError(
+                "object receive matched a typed-buffer message; pair "
+                "uppercase sends with uppercase receives"
+            )
+        return pickle.loads(msg.payload)
+
+    def _unpack(self, msg: Message) -> np.ndarray:
+        if isinstance(msg.payload, bytes):
+            raise TypeError(
+                "buffer receive matched an object-mode message; pair lowercase "
+                "sends with lowercase receives"
+            )
+        return self._tp.unpack(msg.payload, msg.source)
 
     # ------------------------------------------------------------------- inquiry
     def Get_rank(self) -> int:
@@ -216,7 +211,7 @@ class Intracomm:
 
     def Get_size(self) -> int:
         """Number of processes in this communicator."""
-        return self._core.size
+        return self._size
 
     @property
     def rank(self) -> int:
@@ -224,32 +219,31 @@ class Intracomm:
 
     @property
     def size(self) -> int:
-        return self._core.size
+        return self._size
 
     def Get_name(self) -> str:
-        return self._core.name
+        return self._name
 
     def Set_name(self, name: str) -> None:
-        self._core.name = str(name)
+        self._name = str(name)
 
     @property
     def name(self) -> str:
-        return self._core.name
+        return self._name
 
     def Get_group(self) -> Group:
-        return Group(self._core.world_ranks)
+        return Group(self._tp.world_ranks)
 
     def Get_topology(self) -> str | None:
         return None
 
     def Free(self) -> None:
         """Release the communicator; later operations raise."""
-        self._core.freed = True
+        self._freed = True
 
     def Abort(self, errorcode: int = 1) -> None:
         """Tear down the whole world (``MPI_Abort``)."""
-        self._core.world.abort_with(WorldAbortedError(errorcode, origin=self._rank))
-        self._core.world.check_abort()
+        self._tp.abort(WorldAbortedError(errorcode, origin=self._rank))
 
     def Is_intra(self) -> bool:
         return True
@@ -262,33 +256,30 @@ class Intracomm:
         """Blocking standard-mode send of a pickled Python object.
 
         Standard mode is eager-buffered here, as small-message MPI sends are
-        in practice: the call returns once the envelope is enqueued.  Use
+        in practice: the call returns once the envelope is posted.  Use
         :meth:`ssend` for a send that blocks until matched.
         """
-        self._check_alive()
-        self._check_peer(dest, wildcard=False, what="destination")
-        self._check_tag(tag, wildcard=False)
+        self._check(dest, tag, False, "destination")
         if dest == PROC_NULL:
             return
         payload = counted_dumps(obj)
-        self._put_user(dest, Message(self._rank, tag, payload, len(payload)))
+        self._post(USER, dest, tag, payload, len(payload))
+
+    def _post_sync(self, obj: Any, dest: int, tag: int) -> threading.Event | None:
+        """Post a synchronous-mode envelope; its event is set when matched."""
+        self._check(dest, tag, False, "destination")
+        if dest == PROC_NULL:
+            return None
+        done = threading.Event()
+        payload = counted_dumps(obj)
+        self._post(USER, dest, tag, payload, len(payload), done)
+        return done
 
     def ssend(self, obj: Any, dest: int, tag: int = 0) -> None:
         """Synchronous send: blocks until the matching receive starts."""
-        self._check_alive()
-        self._check_peer(dest, wildcard=False, what="destination")
-        self._check_tag(tag, wildcard=False)
-        if dest == PROC_NULL:
-            return
-        import threading
-
-        done = threading.Event()
-        payload = counted_dumps(obj)
-        self._put_user(
-            dest, Message(self._rank, tag, payload, len(payload), synchronous=done)
-        )
-        self._flush_sends()
-        wait_event(done, self._core.world)
+        done = self._post_sync(obj, dest, tag)
+        if done is not None:
+            wait_event(done, self._tp.world)
 
     def recv(
         self,
@@ -298,17 +289,15 @@ class Intracomm:
         status: Status | None = None,
     ) -> Any:
         """Blocking receive; returns the (unpickled) object."""
-        self._check_alive()
-        self._check_peer(source, wildcard=True, what="source")
-        self._check_tag(tag, wildcard=True)
+        self._check(source, tag, True, "source")
         if source == PROC_NULL:
             if status is not None:
                 status._set(PROC_NULL, ANY_TAG, 0)
             return None
-        msg = self._get_user(source, tag)
+        msg = self._match(source, tag)
         if status is not None:
             status._set(msg.source, msg.tag, msg.nbytes)
-        return pickle.loads(msg.payload)
+        return self._loads(msg)
 
     def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
         """Nonblocking send; complete immediately (buffered)."""
@@ -317,25 +306,11 @@ class Intracomm:
 
     def issend(self, obj: Any, dest: int, tag: int = 0) -> Request:
         """Nonblocking synchronous send; completes when matched."""
-        self._check_alive()
-        self._check_peer(dest, wildcard=False, what="destination")
-        self._check_tag(tag, wildcard=False)
-        if dest == PROC_NULL:
-            return SendRequest(self)
-        import threading
-
-        done = threading.Event()
-        payload = counted_dumps(obj)
-        self._put_user(
-            dest, Message(self._rank, tag, payload, len(payload), synchronous=done)
-        )
-        return SendRequest(self, sync_event=done)
+        return SendRequest(self, sync_event=self._post_sync(obj, dest, tag))
 
     def irecv(self, buf: Any = None, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
         """Nonblocking receive; ``req.wait()`` returns the object."""
-        self._check_alive()
-        self._check_peer(source, wildcard=True, what="source")
-        self._check_tag(tag, wildcard=True)
+        self._check(source, tag, True, "source")
         return RecvRequest(self, source, tag)
 
     def sendrecv(
@@ -352,39 +327,41 @@ class Intracomm:
         self.send(sendobj, dest, sendtag)
         return self.recv(recvbuf, source, recvtag, status)
 
+    def _probe(self, source: int, tag: int, status: Status | None, block: bool) -> bool:
+        self._check(source, tag, True, "source")
+        msg = self._tp.match(USER, source, tag, block, False)
+        if msg is not None and status is not None:
+            status._set(msg.source, msg.tag, msg.nbytes)
+        return msg is not None
+
     def probe(
         self, source: int = ANY_SOURCE, tag: int = ANY_TAG, status: Status | None = None
     ) -> bool:
         """Block until a matching message is pending (without receiving it)."""
-        self._check_alive()
-        self._flush_sends()
-        msg = self.mailbox.probe(source, tag, block=True)
-        if status is not None and msg is not None:
-            status._set(msg.source, msg.tag, msg.nbytes)
-        return True
+        return self._probe(source, tag, status, True)
 
     def iprobe(
         self, source: int = ANY_SOURCE, tag: int = ANY_TAG, status: Status | None = None
     ) -> bool:
         """Nonblocking probe: True if a matching message is pending."""
-        self._check_alive()
-        self._flush_sends()
-        msg = self.mailbox.probe(source, tag, block=False)
-        if msg is not None and status is not None:
-            status._set(msg.source, msg.tag, msg.nbytes)
-        return msg is not None
+        return self._probe(source, tag, status, False)
 
     # ------------------------------------------------------ point-to-point (buffer)
     def Send(self, buf: Any, dest: int, tag: int = 0) -> None:
-        """Blocking typed-buffer send (``[data, MPI.TYPE]`` or bare array)."""
-        self._check_alive()
-        self._check_peer(dest, wildcard=False, what="destination")
-        self._check_tag(tag, wildcard=False)
+        """Blocking typed-buffer send (``[data, MPI.TYPE]`` or bare array).
+
+        Between processes, payloads above :func:`repro.mpi.shm.shm_threshold`
+        travel through a reused per-edge shared-memory segment; the second
+        large ``Send`` on an edge waits for the receiver's copy-out ack
+        before overwriting it (rendezvous semantics, as real MPI large
+        sends have).
+        """
+        self._check(dest, tag, False, "destination")
         if dest == PROC_NULL:
             return
         spec = parse_buffer(buf)
-        snapshot = spec.data()
-        self._put_user(dest, Message(self._rank, tag, snapshot, spec.nbytes))
+        payload = self._tp.pack(spec.array[: spec.count], dest)
+        self._post(USER, dest, tag, payload, spec.nbytes)
 
     def Recv(
         self,
@@ -394,16 +371,14 @@ class Intracomm:
         status: Status | None = None,
     ) -> None:
         """Blocking typed-buffer receive into caller-provided storage."""
-        self._check_alive()
-        self._check_peer(source, wildcard=True, what="source")
-        self._check_tag(tag, wildcard=True)
+        self._check(source, tag, True, "source")
         spec = parse_buffer(buf)
         if source == PROC_NULL:
             if status is not None:
                 status._set(PROC_NULL, ANY_TAG, 0)
             return
-        msg = self._get_user(source, tag)
-        self._fill_typed(spec, msg)
+        msg = self._match(source, tag)
+        self._fill_array(spec, self._unpack(msg))
         if status is not None:
             status._set(msg.source, msg.tag, msg.nbytes)
 
@@ -412,11 +387,8 @@ class Intracomm:
         return SendRequest(self)
 
     def Irecv(self, buf: Any, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
-        self._check_alive()
-        self._check_peer(source, wildcard=True, what="source")
-        self._check_tag(tag, wildcard=True)
-        spec = parse_buffer(buf)
-        return BufferRecvRequest(self, spec, source, tag)
+        self._check(source, tag, True, "source")
+        return BufferRecvRequest(self, parse_buffer(buf), source, tag)
 
     def Sendrecv(
         self,
@@ -431,54 +403,39 @@ class Intracomm:
         self.Send(sendbuf, dest, sendtag)
         self.Recv(recvbuf, source, recvtag, status)
 
-    def _fill_typed(self, spec: BufferSpec, msg: Message) -> None:
-        values = msg.payload
-        if isinstance(values, bytes):
-            raise TypeError(
-                "buffer receive matched an object-mode message; pair lowercase "
-                "sends with lowercase receives"
-            )
-        values = np.asarray(values)
-        if values.size > len(spec.array):
-            raise TruncationError(
-                f"message of {values.size} elements truncated to receive buffer "
-                f"of {len(spec.array)}"
-            )
-        spec.fill(values.astype(spec.datatype.np_dtype, copy=False))
-
     # --------------------------------------------------------- collective transport
-    def _transports(self) -> tuple[Callable[[int, int, Any], None], Callable[[int, int], Any]]:
-        """Raw payload transport in the collective context for one collective.
+    def _transports(self, typed: bool = False) -> tuple[
+        Callable[[int, int, Any], None], Callable[[int, int], Any]
+    ]:
+        """Point-to-point callbacks in the collective context for one call.
 
         Each collective call consumes one sequence number; all ranks consume
         them in the same order (the standard requires collectives to be
-        called in the same order on every rank), so tags always agree.
+        called in the same order on every rank), so the internal tags
+        ``seq * _PHASE_SPAN + phase`` always agree and multi-phase
+        algorithms never cross-match.  Raw payloads travel as they are
+        (pickled bytes, from the object verbs); ``typed`` payloads are
+        arrays, packed per message by the transport, never pickled.
         """
         self._check_alive()
-        self._flush_sends()
-        seq = self._coll_seq
+        base = self._coll_seq * _PHASE_SPAN
         self._coll_seq += 1
-        core = self._core
-        me = self._rank
+        tp = self._tp
+        post = self._post
 
-        def send(dest: int, phase: int, payload: Any) -> None:
-            if _hooks.enabled:
-                _hooks.emit(
-                    "coll_msg", core.cid, me, dest, coll.payload_nbytes(payload)
-                )
-            message = Message(me, seq * _PHASE_SPAN + phase, payload, 0)
-            injector = core.world.injector
-            if injector is not None:
-                injector.dispositions(
-                    core.world_ranks[me],
-                    core.world_ranks[dest],
-                    lambda: core.coll_boxes[dest].put(message),
-                )
-                return
-            core.coll_boxes[dest].put(message)
+        if typed:
+            def send(dest: int, phase: int, values: Any) -> None:
+                values = np.ascontiguousarray(values)
+                post(COLL, dest, base + phase, tp.pack(values, dest), values.nbytes)
 
-        def recv(source: int, phase: int) -> Any:
-            return core.coll_boxes[me].get(source, seq * _PHASE_SPAN + phase).payload
+            def recv(source: int, phase: int) -> Any:
+                return self._unpack(tp.match(COLL, source, base + phase))
+        else:
+            def send(dest: int, phase: int, payload: Any) -> None:
+                post(COLL, dest, base + phase, payload, coll.payload_nbytes(payload))
+
+            def recv(source: int, phase: int) -> Any:
+                return tp.match(COLL, source, base + phase).payload
 
         return send, recv
 
@@ -513,14 +470,14 @@ class Intracomm:
         """
         algo = _algos.resolve(
             collective,
-            size=self._core.size,
+            size=self._size,
             nbytes=nbytes,
             commute=commute,
             chunked=chunked,
             requested=requested,
         )
         if _hooks.enabled:
-            _hooks.emit("coll_algo", self._obs_cid, self._rank, collective, algo)
+            _hooks.emit("coll_algo", self._tp.cid, self._rank, collective, algo)
         return algo
 
     # ----------------------------------------------------------- collectives (obj)
@@ -529,19 +486,19 @@ class Intracomm:
         """Block until every rank of the communicator has arrived."""
         self._pick("barrier")
         send, recv = self._transports()
-        coll.barrier_dissemination(self._rank, self._core.size, send, recv)
+        coll.barrier_dissemination(self._rank, self._size, send, recv)
 
     Barrier = barrier
 
     @coll.traced_collective
     def bcast(self, obj: Any, root: int = 0, *, algorithm: str | None = None) -> Any:
         """Broadcast a Python object from ``root`` to every rank."""
-        self._check_peer(root, wildcard=False, what="root")
+        self._check_root(root)
         algo = self._pick("bcast", requested=algorithm)
         send, recv = self._transports()
         payload = counted_dumps(obj) if self._rank == root else None
         result = _algos.run_bcast(
-            algo, self._rank, self._core.size, root, payload, send, recv,
+            algo, self._rank, self._size, root, payload, send, recv,
             split=coll.split_bytes, concat=b"".join,
         )
         return obj if self._rank == root else pickle.loads(result)
@@ -549,43 +506,41 @@ class Intracomm:
     @coll.traced_collective
     def scatter(self, sendobj: Sequence[Any] | None, root: int = 0) -> Any:
         """Scatter a ``size``-element sequence from root; returns the local item."""
-        self._check_peer(root, wildcard=False, what="root")
+        self._check_root(root)
         send, recv = self._obj_transports()
         chunks = None
         if self._rank == root:
-            if sendobj is None or len(sendobj) != self._core.size:
+            if sendobj is None or len(sendobj) != self._size:
                 got = "None" if sendobj is None else str(len(sendobj))
                 raise InvalidCountError(
-                    f"scatter at root expects exactly {self._core.size} items, got {got}"
+                    f"scatter at root expects exactly {self._size} items, got {got}"
                 )
             chunks = list(sendobj)
-        return coll.scatter_linear(self._rank, self._core.size, root, chunks, send, recv)
+        return coll.scatter_linear(self._rank, self._size, root, chunks, send, recv)
 
     @coll.traced_collective
     def gather(self, sendobj: Any, root: int = 0) -> list[Any] | None:
         """Gather one object per rank into an ordered list at root."""
-        self._check_peer(root, wildcard=False, what="root")
+        self._check_root(root)
         send, recv = self._obj_transports()
-        return coll.gather_linear(self._rank, self._core.size, root, sendobj, send, recv)
+        return coll.gather_linear(self._rank, self._size, root, sendobj, send, recv)
 
     @coll.traced_collective
     def allgather(self, sendobj: Any, *, algorithm: str | None = None) -> list[Any]:
         """Gather one object per rank; every rank gets the full list."""
         algo = self._pick("allgather", requested=algorithm)
         send, recv = self._obj_transports()
-        return _algos.run_allgather(
-            algo, self._rank, self._core.size, sendobj, send, recv
-        )
+        return _algos.run_allgather(algo, self._rank, self._size, sendobj, send, recv)
 
     @coll.traced_collective
     def alltoall(self, sendobj: Sequence[Any]) -> list[Any]:
         """Personalized exchange: item ``j`` of my sequence goes to rank ``j``."""
-        if len(sendobj) != self._core.size:
+        if len(sendobj) != self._size:
             raise InvalidCountError(
-                f"alltoall expects {self._core.size} items, got {len(sendobj)}"
+                f"alltoall expects {self._size} items, got {len(sendobj)}"
             )
         send, recv = self._obj_transports()
-        return coll.alltoall_pairwise(self._rank, self._core.size, list(sendobj), send, recv)
+        return coll.alltoall_pairwise(self._rank, self._size, list(sendobj), send, recv)
 
     @coll.traced_collective
     def reduce(
@@ -597,11 +552,11 @@ class Intracomm:
         algorithm: str | None = None,
     ) -> Any:
         """Combine one value per rank with ``op``; result lands at root."""
-        self._check_peer(root, wildcard=False, what="root")
+        self._check_root(root)
         algo = self._pick("reduce", commute=op.commute, requested=algorithm)
         send, recv = self._obj_transports()
         return _algos.run_reduce(
-            algo, self._rank, self._core.size, root, sendobj, op, send, recv
+            algo, self._rank, self._size, root, sendobj, op, send, recv
         )
 
     @coll.traced_collective
@@ -612,40 +567,46 @@ class Intracomm:
         algo = self._pick("allreduce", commute=op.commute, requested=algorithm)
         send, recv = self._obj_transports()
         return _algos.run_allreduce(
-            algo, self._rank, self._core.size, sendobj, op, send, recv
+            algo, self._rank, self._size, sendobj, op, send, recv
         )
 
     @coll.traced_collective
     def scan(self, sendobj: Any, op: Op = SUM) -> Any:
         """Inclusive prefix reduction over ranks."""
         send, recv = self._obj_transports()
-        return coll.scan_linear(self._rank, self._core.size, sendobj, op, send, recv)
+        return coll.scan_linear(self._rank, self._size, sendobj, op, send, recv)
 
     @coll.traced_collective
     def exscan(self, sendobj: Any, op: Op = SUM) -> Any:
         """Exclusive prefix reduction; rank 0 gets ``None``."""
         send, recv = self._obj_transports()
-        return coll.exscan_linear(self._rank, self._core.size, sendobj, op, send, recv)
+        return coll.exscan_linear(self._rank, self._size, sendobj, op, send, recv)
 
     # -------------------------------------------------------- collectives (buffer)
     @staticmethod
     def _array_split(values: Any, n: int) -> list[Any]:
         return list(np.array_split(values, n))
 
+    @staticmethod
+    def _chunks(sspec: BufferSpec, size: int, verb: str) -> list[np.ndarray]:
+        """``size`` equal contiguous chunks of a send buffer."""
+        if sspec.count % size:
+            raise InvalidCountError(
+                f"{verb}: send count {sspec.count} not divisible by size {size}"
+            )
+        n = sspec.count // size
+        return [sspec.array[i * n : (i + 1) * n] for i in range(size)]
+
     @coll.traced_collective
     def Bcast(self, buf: Any, root: int = 0, *, algorithm: str | None = None) -> None:
         """Broadcast a typed buffer in place."""
-        self._check_peer(root, wildcard=False, what="root")
+        self._check_root(root)
         spec = parse_buffer(buf)
-        algo = self._pick(
-            "bcast",
-            nbytes=spec.count * spec.array.dtype.itemsize,
-            requested=algorithm,
-        )
-        send, recv = self._transports()
-        payload = spec.data() if self._rank == root else None
+        algo = self._pick("bcast", nbytes=spec.nbytes, requested=algorithm)
+        send, recv = self._transports(typed=True)
+        payload = spec.array[: spec.count] if self._rank == root else None
         values = _algos.run_bcast(
-            algo, self._rank, self._core.size, root, payload, send, recv,
+            algo, self._rank, self._size, root, payload, send, recv,
             split=self._array_split, concat=np.concatenate,
         )
         if self._rank != root:
@@ -654,72 +615,56 @@ class Intracomm:
     @coll.traced_collective
     def Scatter(self, sendbuf: Any, recvbuf: Any, root: int = 0) -> None:
         """Scatter equal contiguous chunks of ``sendbuf`` from root."""
-        self._check_peer(root, wildcard=False, what="root")
-        size = self._core.size
-        send, recv = self._transports()
+        self._check_root(root)
+        send, recv = self._transports(typed=True)
         chunks = None
         if self._rank == root:
-            sspec = parse_buffer(sendbuf)
-            if sspec.count % size:
-                raise InvalidCountError(
-                    f"Scatter: send count {sspec.count} not divisible by size {size}"
-                )
-            n = sspec.count // size
-            data = sspec.data()
-            chunks = [data[i * n : (i + 1) * n] for i in range(size)]
-        values = coll.scatter_linear(self._rank, size, root, chunks, send, recv)
+            chunks = self._chunks(parse_buffer(sendbuf), self._size, "Scatter")
+        values = coll.scatter_linear(self._rank, self._size, root, chunks, send, recv)
         self._fill_array(parse_buffer(recvbuf), values)
 
     @coll.traced_collective
     def Scatterv(self, sendbuf: Any, recvbuf: Any, root: int = 0) -> None:
         """Scatter variable-size segments ``[data, counts, displs, type]``."""
-        self._check_peer(root, wildcard=False, what="root")
-        size = self._core.size
-        send, recv = self._transports()
+        self._check_root(root)
+        send, recv = self._transports(typed=True)
         chunks = None
         if self._rank == root:
-            vspec = parse_vector_buffer(sendbuf, size)
-            chunks = [
-                vspec.array[d : d + c].copy()
-                for c, d in zip(vspec.counts, vspec.displs)
-            ]
-        values = coll.scatter_linear(self._rank, size, root, chunks, send, recv)
+            vspec = parse_vector_buffer(sendbuf, self._size)
+            chunks = [vspec.array[d : d + c] for c, d in zip(vspec.counts, vspec.displs)]
+        values = coll.scatter_linear(self._rank, self._size, root, chunks, send, recv)
         self._fill_array(parse_buffer(recvbuf), values)
 
     @coll.traced_collective
     def Gather(self, sendbuf: Any, recvbuf: Any, root: int = 0) -> None:
         """Gather equal chunks into root's buffer, ordered by rank."""
-        self._check_peer(root, wildcard=False, what="root")
-        size = self._core.size
-        send, recv = self._transports()
+        self._check_root(root)
+        send, recv = self._transports(typed=True)
         sspec = parse_buffer(sendbuf)
         parts = coll.gather_linear(
-            self._rank, size, root, sspec.data(), send, recv
+            self._rank, self._size, root, sspec.array[: sspec.count], send, recv
         )
         if self._rank == root:
-            rspec = parse_buffer(recvbuf)
-            self._place_parts(rspec, parts, uniform=True)
+            self._place_parts(parse_buffer(recvbuf), parts)
 
     @coll.traced_collective
     def Gatherv(self, sendbuf: Any, recvbuf: Any, root: int = 0) -> None:
         """Gather variable-size segments into ``[data, counts, displs, type]``."""
-        self._check_peer(root, wildcard=False, what="root")
-        size = self._core.size
-        send, recv = self._transports()
+        self._check_root(root)
+        send, recv = self._transports(typed=True)
         sspec = parse_buffer(sendbuf)
-        parts = coll.gather_linear(self._rank, size, root, sspec.data(), send, recv)
+        parts = coll.gather_linear(
+            self._rank, self._size, root, sspec.array[: sspec.count], send, recv
+        )
         if self._rank == root:
-            vspec = parse_vector_buffer(recvbuf, size)
-            for src, (part, c, d) in enumerate(
-                zip(parts, vspec.counts, vspec.displs)
-            ):
-                arr = np.asarray(part)
-                if arr.size != c:
+            vspec = parse_vector_buffer(recvbuf, self._size)
+            for src, (part, c, d) in enumerate(zip(parts, vspec.counts, vspec.displs)):
+                if part.size != c:
                     raise InvalidCountError(
-                        f"Gatherv: rank {src} sent {arr.size} elements where "
+                        f"Gatherv: rank {src} sent {part.size} elements where "
                         f"counts specify {c} at displacement {d}"
                     )
-                vspec.array[d : d + c] = arr.astype(vspec.datatype.np_dtype, copy=False)
+                vspec.array[d : d + c] = part.astype(vspec.datatype.np_dtype, copy=False)
 
     @coll.traced_collective
     def Allgather(
@@ -727,32 +672,25 @@ class Intracomm:
     ) -> None:
         """All ranks gather everyone's chunk into their own buffer."""
         sspec = parse_buffer(sendbuf)
-        algo = self._pick(
-            "allgather",
-            nbytes=sspec.count * sspec.array.dtype.itemsize,
-            requested=algorithm,
-        )
-        send, recv = self._transports()
+        algo = self._pick("allgather", nbytes=sspec.nbytes, requested=algorithm)
+        send, recv = self._transports(typed=True)
         parts = _algos.run_allgather(
-            algo, self._rank, self._core.size, sspec.data(), send, recv
+            algo, self._rank, self._size, sspec.array[: sspec.count], send, recv,
+            concat=np.concatenate,
         )
-        self._place_parts(parse_buffer(recvbuf), parts, uniform=True)
+        rspec = parse_buffer(recvbuf)
+        if isinstance(parts, list):
+            self._place_parts(rspec, parts)
+        else:
+            self._fill_array(rspec, parts)
 
     @coll.traced_collective
     def Alltoall(self, sendbuf: Any, recvbuf: Any) -> None:
         """Typed personalized exchange of equal chunks."""
-        size = self._core.size
-        sspec = parse_buffer(sendbuf)
-        if sspec.count % size:
-            raise InvalidCountError(
-                f"Alltoall: send count {sspec.count} not divisible by size {size}"
-            )
-        n = sspec.count // size
-        data = sspec.data()
-        outgoing = [data[i * n : (i + 1) * n] for i in range(size)]
-        send, recv = self._transports()
-        parts = coll.alltoall_pairwise(self._rank, size, outgoing, send, recv)
-        self._place_parts(parse_buffer(recvbuf), parts, uniform=True)
+        outgoing = self._chunks(parse_buffer(sendbuf), self._size, "Alltoall")
+        send, recv = self._transports(typed=True)
+        parts = coll.alltoall_pairwise(self._rank, self._size, outgoing, send, recv)
+        self._place_parts(parse_buffer(recvbuf), parts)
 
     @coll.traced_collective
     def Reduce(
@@ -764,18 +702,16 @@ class Intracomm:
         *,
         algorithm: str | None = None,
     ) -> None:
-        """Elementwise typed reduction to root."""
-        self._check_peer(root, wildcard=False, what="root")
+        """Elementwise typed reduction to root (combined in rank order)."""
+        self._check_root(root)
         sspec = parse_buffer(sendbuf)
         algo = self._pick(
-            "reduce",
-            nbytes=sspec.count * sspec.array.dtype.itemsize,
-            commute=op.commute,
-            requested=algorithm,
+            "reduce", nbytes=sspec.nbytes, commute=op.commute, requested=algorithm
         )
-        send, recv = self._transports()
+        send, recv = self._transports(typed=True)
         result = _algos.run_reduce(
-            algo, self._rank, self._core.size, root, sspec.data(), op, send, recv
+            algo, self._rank, self._size, root, sspec.array[: sspec.count], op,
+            send, recv,
         )
         if self._rank == root:
             self._fill_array(parse_buffer(recvbuf), result)
@@ -793,32 +729,34 @@ class Intracomm:
         sspec = parse_buffer(sendbuf)
         # Chunking splits the array across the ring; only sound when the op
         # combines elementwise (MAXLOC-style pair ops must stay whole).
-        chunkable = op.commute and op.elementwise and self._core.size > 1
+        chunkable = op.commute and op.elementwise and self._size > 1
         algo = self._pick(
             "allreduce",
-            nbytes=sspec.count * sspec.array.dtype.itemsize,
+            nbytes=sspec.nbytes,
             commute=op.commute,
             chunked=chunkable,
             requested=algorithm,
         )
-        send, recv = self._transports()
+        send, recv = self._transports(typed=True)
         result = _algos.run_allreduce(
-            algo, self._rank, self._core.size, sspec.data(), op, send, recv,
+            algo, self._rank, self._size, sspec.array[: sspec.count], op, send, recv,
             split=self._array_split if chunkable else None,
             concat=np.concatenate if chunkable else None,
         )
         self._fill_array(parse_buffer(recvbuf), result)
 
-    def _fill_array(self, spec: BufferSpec, values: Any) -> None:
+    @staticmethod
+    def _fill_array(spec: BufferSpec, values: Any) -> None:
         arr = np.asarray(values)
         if arr.size > len(spec.array):
             raise TruncationError(
-                f"collective result of {arr.size} elements exceeds buffer of "
-                f"{len(spec.array)}"
+                f"message of {arr.size} elements truncated to receive buffer "
+                f"of {len(spec.array)}"
             )
         spec.fill(arr.astype(spec.datatype.np_dtype, copy=False))
 
-    def _place_parts(self, rspec: BufferSpec, parts: Sequence[Any], uniform: bool) -> None:
+    @staticmethod
+    def _place_parts(rspec: BufferSpec, parts: Sequence[Any]) -> None:
         offset = 0
         for src, part in enumerate(parts):
             arr = np.asarray(part)
@@ -834,47 +772,45 @@ class Intracomm:
             offset += arr.size
 
     # ------------------------------------------------------ communicator creation
+    def _derive(self, parent_ranks: Sequence[int], index: int, name: str,
+                cls: type | None = None, **kwargs: Any) -> "Intracomm":
+        """This rank's view of the ``index``-th communicator made by the
+        collective just completed, over ``parent_ranks`` in new-rank order."""
+        tp = self._tp
+        cid = _derived_cid(tp.cid, self._coll_seq, index)
+        world_ranks = tuple(tp.world_ranks[r] for r in parent_ranks)
+        new = tp.derive(cid, world_ranks, parent_ranks.index(self._rank))
+        return (cls or Intracomm)(new, name=name, **kwargs)
+
     def Split(self, color: int = 0, key: int = 0) -> "Intracomm | None":
         """Partition the communicator by color; order new ranks by (key, rank).
 
         Ranks passing ``color=UNDEFINED`` get ``None``.
         """
         triples = self.allgather((color, key, self._rank))
-        seq_key = ("split", self._core.cid, self._coll_seq)
         if color == UNDEFINED:
             return None
-        members = sorted(
-            (k, r) for c, k, r in triples if c == color
+        colors = sorted({c for c, _k, _r in triples if c != UNDEFINED})
+        members = sorted((k, r) for c, k, r in triples if c == color)
+        return self._derive(
+            [r for _k, r in members], colors.index(color),
+            f"{self._name}.split({color})",
         )
-        parent_ranks = [r for _k, r in members]
-        world_ranks = tuple(self._core.world_ranks[r] for r in parent_ranks)
-
-        def factory() -> CommCore:
-            return CommCore(
-                self._core.world,
-                world_ranks,
-                f"{self._core.name}.split({color})",
-            )
-
-        core = self._core.world.registry.get_or_create((*seq_key, color), factory)
-        return core.views[parent_ranks.index(self._rank)]
 
     def Dup(self) -> "Intracomm":
         """Duplicate the communicator (fresh contexts, same membership)."""
         dup = self.Split(color=0, key=self._rank)
         assert dup is not None
-        dup._core.name = f"{self._core.name}.dup"
+        dup._name = f"{self._name}.dup"
         return dup
 
     def Create(self, group: Group) -> "Intracomm | None":
         """Build a communicator from a subset group (collective over parent)."""
         try:
-            my_pos = group.ranks.index(self._core.world_ranks[self._rank])
+            key = group.ranks.index(self._tp.world_ranks[self._rank])
         except ValueError:
-            my_pos = UNDEFINED
-        color = 0 if my_pos != UNDEFINED else UNDEFINED
-        key = my_pos if my_pos != UNDEFINED else 0
-        return self.Split(color=color, key=key)
+            return self.Split(color=UNDEFINED)
+        return self.Split(color=0, key=key)
 
     def Create_cart(
         self,
@@ -882,7 +818,10 @@ class Intracomm:
         periods: Sequence[bool] | None = None,
         reorder: bool = False,
     ) -> "Any | None":
-        """Create a Cartesian topology communicator (see ``cartesian.py``)."""
+        """Create a Cartesian topology communicator (see ``cartesian.py``).
+
+        Ranks beyond the grid's node count get ``None``.
+        """
         from .cartesian import Cartcomm
 
         dims = tuple(int(d) for d in dims)
@@ -891,45 +830,30 @@ class Intracomm:
             if d < 1:
                 raise ValueError(f"invalid cartesian dims {dims}")
             nnodes *= d
-        if nnodes > self._core.size:
+        if nnodes > self._size:
             raise InvalidCountError(
                 f"cartesian grid {dims} needs {nnodes} ranks, communicator has "
-                f"{self._core.size}"
+                f"{self._size}"
             )
         periods = tuple(bool(p) for p in (periods or (False,) * len(dims)))
         if len(periods) != len(dims):
             raise ValueError("periods must match dims in length")
-
-        triples = self.allgather((0 if self._rank < nnodes else UNDEFINED, self._rank, self._rank))
-        seq_key = ("cart", self._core.cid, self._coll_seq, dims, periods)
-        if self._rank >= nnodes:
+        member = self._rank < nnodes
+        self.allgather((0 if member else UNDEFINED, self._rank, self._rank))
+        if not member:
             return None
-        member_parents = [r for c, _k, r in triples if c == 0]
-        member_parents.sort()
-        world_ranks = tuple(self._core.world_ranks[r] for r in member_parents)
-
-        def factory() -> CommCore:
-            return CommCore(
-                self._core.world,
-                world_ranks,
-                f"{self._core.name}.cart{dims}",
-                view_cls=Cartcomm,
-                view_kwargs={"dims": dims, "periods": periods},
-            )
-
-        core = self._core.world.registry.get_or_create(seq_key, factory)
-        return core.views[member_parents.index(self._rank)]
+        return self._derive(
+            range(nnodes), 0, f"{self._name}.cart{dims}", Cartcomm,
+            dims=dims, periods=periods,
+        )
 
     # ------------------------------------------------------------------- misc
     def Get_processor_name(self) -> str:
         """Simulated hostname of the machine running this rank."""
-        return self._core.world.hostname
+        return self._tp.hostname
 
     def py2f(self) -> int:
-        return self._core.cid
+        return self._tp.cid
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"<Intracomm {self._core.name!r} rank={self._rank} "
-            f"size={self._core.size}>"
-        )
+        return f"<Intracomm {self._name!r} rank={self._rank} size={self._size}>"

@@ -1,8 +1,8 @@
 """``create_communicator(name)``: topology-aware communicator variants.
 
 Modeled on chainermn's communicator family: one factory returns a view
-over an existing communicator (threads ``Intracomm`` or process-backend
-``ProcComm``) whose collectives are specialized for a topology:
+over an existing communicator (an ``Intracomm`` on either backend) whose
+collectives are specialized for a topology:
 
 ``naive``
     Every collective forced to its linear reference algorithm — the
@@ -29,10 +29,9 @@ from __future__ import annotations
 import os
 from typing import Any
 
-import numpy as np
-
 from . import collectives as _coll
 from ..obs.hooks import mpi as _hooks
+from .buffers import parse_buffer
 from .ops import SUM, Op
 
 __all__ = ["COMMUNICATOR_NAMES", "CommunicatorView", "create_communicator"]
@@ -134,38 +133,23 @@ class FlatCommunicator(CommunicatorView):
 class _TopologyCommunicator(CommunicatorView):
     """Shared machinery for the schedule-overriding variants."""
 
-    def _run_schedule(self, value: Any, op: Op, obj_mode: bool) -> Any:
-        raise NotImplementedError
-
     @_coll.traced_collective
     def allreduce(self, sendobj: Any, op: Op = SUM) -> Any:
         self._emit_algo("allreduce", self.variant)
         comm = self._comm
-        if hasattr(comm, "_next_seq"):
-            send, recv = comm._obj_transports(comm._next_seq())
-        else:
-            send, recv = comm._obj_transports()
+        send, recv = comm._obj_transports()
         return self._schedule(comm.rank, comm.size, sendobj, op, send, recv)
 
     @_coll.traced_collective
     def Allreduce(self, sendbuf: Any, recvbuf: Any, op: Op = SUM) -> None:
         self._emit_algo("allreduce", self.variant)
         comm = self._comm
-        from .buffers import parse_buffer
-
         sspec = parse_buffer(sendbuf)
-        if hasattr(comm, "_next_seq"):
-            send, recv = comm._buf_transports(comm._next_seq())
-            result = self._schedule(
-                comm.rank, comm.size, sspec.array[: sspec.count], op, send, recv
-            )
-            comm._fill_spec(parse_buffer(recvbuf), np.asarray(result))
-        else:
-            send, recv = comm._transports()
-            result = self._schedule(
-                comm.rank, comm.size, sspec.data(), op, send, recv
-            )
-            comm._fill_array(parse_buffer(recvbuf), result)
+        send, recv = comm._transports(typed=True)
+        result = self._schedule(
+            comm.rank, comm.size, sspec.array[: sspec.count], op, send, recv
+        )
+        comm._fill_array(parse_buffer(recvbuf), result)
 
     def _schedule(self, rank: int, size: int, value: Any, op: Op,
                   send: Any, recv: Any) -> Any:

@@ -10,6 +10,8 @@ catch runtime failures without also swallowing programming errors such as
 
 from __future__ import annotations
 
+from .constants import TAG_UB
+
 
 class MPIError(Exception):
     """Base class for all errors raised by the simulated MPI runtime."""
@@ -22,14 +24,23 @@ class InvalidRankError(MPIError, ValueError):
         super().__init__(f"invalid {what} {rank} for communicator of size {size}")
         self.rank = rank
         self.size = size
+        self.what = what
+
+    def __reduce__(self):
+        # Custom __init__ signature (see RankCrashedError): process ranks
+        # ship this across in their failure report.
+        return (type(self), (self.rank, self.size, self.what))
 
 
 class InvalidTagError(MPIError, ValueError):
-    """A tag argument was negative (and not ``ANY_TAG``)."""
+    """A tag argument was outside ``0..TAG_UB`` (and not ``ANY_TAG``)."""
 
     def __init__(self, tag: int) -> None:
-        super().__init__(f"invalid tag {tag}: tags must be non-negative")
+        super().__init__(f"invalid tag {tag}: tags must lie in 0..{TAG_UB}")
         self.tag = tag
+
+    def __reduce__(self):
+        return (type(self), (self.tag,))
 
 
 class InvalidCountError(MPIError, ValueError):

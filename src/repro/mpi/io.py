@@ -98,12 +98,10 @@ class File:
         world registry; a barrier guarantees the file exists before any
         rank's ``Open`` returns.
         """
-        key = ("mpi-file", comm._core.cid, comm._coll_seq, filename, amode)
+        key = ("mpi-file", comm._tp.cid, comm._coll_seq, filename, amode)
         # Consume one collective slot so repeated Opens get distinct keys.
         comm.barrier()
-        handle = comm._core.world.registry.get_or_create(
-            key, lambda: _SharedHandle(filename, amode)
-        )
+        handle = comm._tp.shared(key, lambda: _SharedHandle(filename, amode))
         comm.barrier()
         return cls(comm, handle)
 

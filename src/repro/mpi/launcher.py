@@ -61,11 +61,13 @@ def mpirun(
 ) -> list[Any]:
     """Run an SPMD function across ``np`` ranks; return per-rank results.
 
-    ``backend`` selects rank execution: ``"threads"`` (default — the full
-    in-process runtime: typed buffers, windows, splitting, tracing) or
-    ``"processes"`` (forked OS ranks with pipe transport for real
-    multicore speedup; core comm API only — see :mod:`repro.mpi.procs`).
-    ``None`` defers to the ``REPRO_MPI_BACKEND`` environment variable.
+    ``backend`` selects rank execution: ``"threads"`` (default — rank
+    threads in one address space) or ``"processes"`` (forked OS ranks with
+    pipe transport for real multicore speedup).  Both run the same
+    communicator; what needs one address space — ``ssend``/``issend``,
+    windows, files, the ``MPI.COMM_WORLD`` proxy — stays on threads (see
+    :mod:`repro.mpi.procs`).  ``None`` defers to the ``REPRO_MPI_BACKEND``
+    environment variable.
     """
     if _resolve_mpi_backend(backend) == "processes":
         from .procs import run_procs

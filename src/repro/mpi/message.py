@@ -1,7 +1,9 @@
-"""Message envelopes and per-rank mailboxes.
+"""Message envelopes, per-rank mailboxes, and the thread world's transport.
 
 A :class:`Mailbox` is the receive queue of one rank within one communicator
-context.  Matching follows the MPI standard:
+context; :class:`MailboxTransport` is a rank's endpoint over a
+communicator's mailboxes, the thread-world implementation of
+:class:`repro.mpi.comm.Transport`.  Matching follows the MPI standard:
 
 * a receive posted with ``(source, tag)`` matches the *earliest arrived*
   pending message whose envelope satisfies both fields, where
@@ -18,10 +20,9 @@ all-ranks-blocked state is detected and surfaced as
 
 from __future__ import annotations
 
-import itertools
 import threading
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from .constants import ANY_SOURCE, ANY_TAG
 from .errors import DeadlockError, WorldAbortedError
@@ -29,7 +30,9 @@ from .errors import DeadlockError, WorldAbortedError
 if TYPE_CHECKING:  # pragma: no cover
     from .runtime import World
 
-_seq_counter = itertools.count()
+#: A communicator's two contexts: user point-to-point traffic, and the
+#: internal traffic of its collectives.
+USER, COLL = 0, 1
 
 
 @dataclass(frozen=True)
@@ -50,7 +53,6 @@ class BufferHandle:
     shm_name: str | None
     shape: tuple[int, ...]
     dtype: str
-    offset: int = 0
     mode: str = "owned"
     data: bytes | None = None
 
@@ -62,21 +64,31 @@ class BufferHandle:
         return n
 
 
-@dataclass
 class Message:
-    """An in-flight message envelope.
+    """An in-flight message envelope, as a receive matches it.
 
     ``payload`` is the already-serialized (or already-copied) content, so the
-    receiver can never observe sender-side mutation after the send call.
-    ``nbytes`` is the approximate wire size used for ``Status.Get_count``.
+    receiver can never observe sender-side mutation after the send call:
+    pickled bytes for the object verbs, a typed payload (a NumPy array on
+    threads, a :class:`BufferHandle` between processes) for the buffer
+    verbs.  ``nbytes`` is the wire size reported by ``Status.Get_count``.
     """
 
-    source: int
-    tag: int
-    payload: Any
-    nbytes: int
-    synchronous: threading.Event | None = None
-    seq: int = field(default_factory=lambda: next(_seq_counter))
+    __slots__ = ("source", "tag", "payload", "nbytes", "synchronous")
+
+    def __init__(
+        self,
+        source: int,
+        tag: int,
+        payload: Any,
+        nbytes: int,
+        synchronous: threading.Event | None = None,
+    ) -> None:
+        self.source = source
+        self.tag = tag
+        self.payload = payload
+        self.nbytes = nbytes
+        self.synchronous = synchronous
 
     def matches(self, source: int, tag: int) -> bool:
         """Whether this envelope satisfies a receive posted for (source, tag)."""
@@ -98,12 +110,6 @@ class Mailbox:
         """Deliver a message (called from the sender's thread)."""
         with self._cond:
             self._pending.append(message)
-            self._cond.notify_all()
-
-    def put_many(self, messages: list[Message]) -> None:
-        """Deliver a coalesced batch under one lock acquisition."""
-        with self._cond:
-            self._pending.extend(messages)
             self._cond.notify_all()
 
     def _find(self, source: int, tag: int) -> Message | None:
@@ -183,6 +189,83 @@ class Mailbox:
             return len(self._pending)
 
 
+class CommCore:
+    """The mailboxes of one thread-world communicator, shared by its ranks.
+
+    Each rank has two: its user context and its collective context, as real
+    MPI separates them, so a user ``ANY_TAG`` receive never steals
+    collective traffic.
+    """
+
+    def __init__(self, world: "World", world_ranks: Iterable[int], cid: int) -> None:
+        self.world = world
+        self.world_ranks = tuple(world_ranks)
+        self.cid = cid
+        self.user_boxes = [Mailbox(world) for _ in self.world_ranks]
+        self.coll_boxes = [Mailbox(world) for _ in self.world_ranks]
+
+
+class MailboxTransport:
+    """One rank's endpoint of a thread-world communicator (see
+    :class:`repro.mpi.comm.Transport`).
+
+    Posting appends to the destination rank's mailbox; matching parks on
+    this rank's own, with the world's abort and deadlock vigilance.  Typed
+    payloads travel as arrays no caller can still write to.
+    """
+
+    def __init__(self, core: CommCore, rank: int) -> None:
+        world = core.world
+        self.world = world
+        self.rank = rank
+        self.size = len(core.world_ranks)
+        self.world_ranks = core.world_ranks
+        self.cid = core.cid
+        self.hostname = world.hostname
+        self.check_abort = world.check_abort
+        self._boxes = (core.user_boxes, core.coll_boxes)
+        self._inbox = (core.user_boxes[rank], core.coll_boxes[rank])
+
+    @property
+    def injector(self) -> Any:
+        return self.world.injector
+
+    def post(self, ctx: int, dest: int, tag: int, payload: Any, nbytes: int,
+             sync: threading.Event | None = None) -> None:
+        self._boxes[ctx][dest].put(Message(self.rank, tag, payload, nbytes, sync))
+
+    def match(self, ctx: int, source: int, tag: int, block: bool = True,
+              remove: bool = True) -> Message | None:
+        box = self._inbox[ctx]
+        if not remove:
+            return box.probe(source, tag, block)
+        return box.get(source, tag) if block else box.try_get(source, tag)
+
+    @staticmethod
+    def pack(values: Any, dest: int) -> Any:
+        # A view may alias the caller's buffer, which the caller may
+        # overwrite once the call returns, so it is copied.  An array that
+        # owns its memory was made by the call itself (a received payload,
+        # a reduction or concatenation result) and is only ever read, so
+        # its receivers share it.
+        return values.copy() if values.base is not None else values
+
+    @staticmethod
+    def unpack(payload: Any, source: int) -> Any:
+        return payload
+
+    def derive(self, cid: int, world_ranks: tuple[int, ...], rank: int) -> "MailboxTransport":
+        core = self.shared(("comm", cid), lambda: CommCore(self.world, world_ranks, cid))
+        return MailboxTransport(core, rank)
+
+    def shared(self, key: Any, factory: Callable[[], Any]) -> Any:
+        return self.world.registry.get_or_create(key, factory)
+
+    def abort(self, error: BaseException) -> None:
+        self.world.abort_with(error)
+        self.world.check_abort()
+
+
 def wait_event(event: threading.Event, world: "World") -> None:
     """Block on an event with the same abort/deadlock vigilance as a receive.
 
@@ -206,4 +289,14 @@ def wait_event(event: threading.Event, world: "World") -> None:
         world.exit_blocked()
 
 
-__all__ = ["BufferHandle", "Message", "Mailbox", "wait_event", "WorldAbortedError"]
+__all__ = [
+    "BufferHandle",
+    "COLL",
+    "CommCore",
+    "Mailbox",
+    "MailboxTransport",
+    "Message",
+    "USER",
+    "wait_event",
+    "WorldAbortedError",
+]

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import contextlib
-import pickle
 import threading
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 from ..obs.hooks import mpi as _hooks
-from .message import wait_event
+from .message import USER, wait_event
 from .status import Status
 
 
@@ -83,9 +82,8 @@ class SendRequest(Request):
 
     def wait(self, status: Status | None = None) -> None:
         if self._sync is not None:
-            self._comm._flush_sends()
             with _wait_span(self._comm):
-                wait_event(self._sync, self._comm.world)
+                wait_event(self._sync, self._comm._tp.world)
         return None
 
     def test(self, status: Status | None = None) -> tuple[bool, None]:
@@ -104,64 +102,43 @@ class RecvRequest(Request):
         self._done = False
         self._payload: Any = None
 
+    def _decode(self, msg: Any) -> Any:
+        return self._comm._loads(msg)
+
+    def _complete(self, msg: Any, status: Status | None) -> None:
+        self._payload = self._decode(msg)
+        self._done = True
+        if status is not None:
+            status._set(msg.source, msg.tag, msg.nbytes)
+
+    def _match(self, block: bool) -> Any:
+        return self._comm._tp.match(USER, self._source, self._tag, block)
+
     def wait(self, status: Status | None = None) -> Any:
         if not self._done:
-            self._comm._flush_sends()
             with _wait_span(self._comm):
-                msg = self._comm.mailbox.get(self._source, self._tag)
-            self._payload = pickle.loads(msg.payload)
-            self._done = True
-            if status is not None:
-                status._set(msg.source, msg.tag, msg.nbytes)
+                msg = self._match(True)
+            self._complete(msg, status)
         return self._payload
 
     def test(self, status: Status | None = None) -> tuple[bool, Any]:
-        if self._done:
-            return True, self._payload
-        self._comm._flush_sends()
-        msg = self._comm.mailbox.try_get(self._source, self._tag)
-        if msg is None:
-            return False, None
-        self._payload = pickle.loads(msg.payload)
-        self._done = True
-        if status is not None:
-            status._set(msg.source, msg.tag, msg.nbytes)
+        if not self._done:
+            msg = self._match(False)
+            if msg is None:
+                return False, None
+            self._complete(msg, status)
         return True, self._payload
 
 
-class BufferRecvRequest(Request):
+class BufferRecvRequest(RecvRequest):
     """Request returned by the uppercase ``Irecv``: fills a typed buffer."""
 
     def __init__(self, comm: "Intracomm", spec: Any, source: int, tag: int) -> None:
-        self._comm = comm
+        super().__init__(comm, source, tag)
         self._spec = spec
-        self._source = source
-        self._tag = tag
-        self._done = False
 
-    def _complete(self, msg: Any, status: Status | None) -> None:
-        self._comm._fill_typed(self._spec, msg)
-        self._done = True
-        if status is not None:
-            status._set(msg.source, msg.tag, msg.nbytes)
-
-    def wait(self, status: Status | None = None) -> None:
-        if not self._done:
-            self._comm._flush_sends()
-            with _wait_span(self._comm):
-                msg = self._comm.mailbox.get(self._source, self._tag)
-            self._complete(msg, status)
-        return None
-
-    def test(self, status: Status | None = None) -> tuple[bool, None]:
-        if self._done:
-            return True, None
-        self._comm._flush_sends()
-        msg = self._comm.mailbox.try_get(self._source, self._tag)
-        if msg is None:
-            return False, None
-        self._complete(msg, status)
-        return True, None
+    def _decode(self, msg: Any) -> None:
+        self._comm._fill_array(self._spec, self._comm._unpack(msg))
 
 
 __all__ = ["Request", "SendRequest", "RecvRequest", "BufferRecvRequest"]

@@ -141,9 +141,6 @@ class World:
         self.console = Console()
         self.registry = _SharedRegistry()
 
-        self._cid_counter = 0
-        self._cid_lock = threading.Lock()
-
         self._state_lock = threading.Lock()
         self._alive = 0
         self._blocked = 0
@@ -159,16 +156,16 @@ class World:
 
         # COMM_WORLD is built lazily to avoid a circular import at module load.
         from .comm import Intracomm
+        from .message import CommCore, MailboxTransport
 
-        self.comm_world: Intracomm = Intracomm._create_world(self)
+        self.comm_core = CommCore(self, range(size), cid=1)
+        #: Each rank's view of COMM_WORLD.
+        self.comm_views = [
+            Intracomm(MailboxTransport(self.comm_core, r)) for r in range(size)
+        ]
+        self.comm_world: Intracomm = self.comm_views[0]
         for hook in list(_creation_hooks):
             hook(self)
-
-    # -- communicator-id allocation ------------------------------------------------
-    def next_cid(self) -> int:
-        with self._cid_lock:
-            self._cid_counter += 1
-            return self._cid_counter
 
     # -- rank bookkeeping ----------------------------------------------------------
     def bind_current_thread(self, rank: int) -> None:
@@ -253,7 +250,7 @@ class World:
         barrier_done = threading.Barrier(self.size)
 
         def entry(rank: int) -> None:
-            comm = self.comm_world._for_rank(rank)
+            comm = self.comm_views[rank]
             self.bind_current_thread(rank)
             try:
                 results[rank] = fn(comm, *args, **kwargs)
@@ -265,12 +262,6 @@ class World:
                     else WorldAbortedError(errorcode=1, origin=rank)
                 )
             finally:
-                try:
-                    # Deliver any envelopes still coalesced in this rank's
-                    # send batch: a peer may be blocked receiving one.
-                    comm._flush_sends()
-                except Exception:
-                    pass
                 with self._state_lock:
                     self._alive -= 1
                     # The survivors may all be parked already: start the
@@ -340,7 +331,7 @@ def current_comm():
             rank = world.rank_of_current_thread()
         except NotInWorldError:
             continue
-        return world.comm_world._for_rank(rank)
+        return world.comm_views[rank]
     raise NotInWorldError(
         "MPI.COMM_WORLD was accessed outside an mpirun/World.run context"
     )

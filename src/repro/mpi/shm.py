@@ -7,7 +7,7 @@ serialize + copy + deserialize.  This module provides the zero-copy
 alternative: the payload bytes travel through a
 ``multiprocessing.shared_memory`` segment and only a tiny
 :class:`~repro.mpi.message.BufferHandle` descriptor (segment name, shape,
-dtype, byte offset) rides the queue.
+dtype) rides the queue.
 
 Three payload shapes, chosen by :func:`ship`:
 
@@ -27,7 +27,7 @@ Three payload shapes, chosen by :func:`ship`:
 
 All payloads are flattened 1-D views by the time they reach :func:`ship`
 (:func:`repro.mpi.buffers.parse_buffer` guarantees contiguity), so
-``(offset, count, dtype)`` fully describes the bytes.
+``(count, dtype)`` at the start of a segment fully describes the bytes.
 """
 
 from __future__ import annotations
@@ -136,10 +136,10 @@ class SegmentCache:
 
     Re-attaching a segment is two syscalls and an mmap; a reused sender
     slot (``acked`` mode) names the same segment on every message, so the
-    receiver pays that cost once.  Bounded LRU: stale entries (e.g.
-    collective segments the root has since unlinked) are closed as they
-    age out — an unlinked-but-mapped segment is valid POSIX, the pages
-    live until the last ``close``.
+    receiver pays that cost once.  Bounded LRU: stale entries (e.g. a
+    slot segment its sender has since replaced with a larger one) are
+    closed as they age out — an unlinked-but-mapped segment is valid
+    POSIX, the pages live until the last ``close``.
     """
 
     def __init__(self, capacity: int = 8) -> None:
@@ -256,17 +256,13 @@ def fetch(handle: BufferHandle, cache: SegmentCache) -> tuple[np.ndarray, str | 
         return values.copy(), None
     if handle.mode == ACKED:
         seg = cache.attach(handle.shm_name)
-        values = np.ndarray(
-            (count,), dtype=np_dtype, buffer=seg.buf, offset=handle.offset
-        ).copy()
+        values = np.ndarray((count,), dtype=np_dtype, buffer=seg.buf).copy()
         return values, handle.shm_name
     # Single-use segment: attach directly (the name never recurs), copy,
     # and unlink — the receiver is the segment's last user.
     seg = attach_segment(handle.shm_name)
     try:
-        values = np.ndarray(
-            (count,), dtype=np_dtype, buffer=seg.buf, offset=handle.offset
-        ).copy()
+        values = np.ndarray((count,), dtype=np_dtype, buffer=seg.buf).copy()
     finally:
         unlink_segment(seg)
     return values, None

@@ -54,11 +54,9 @@ class Win:
         ``memory`` must be a contiguous NumPy array (or ``None`` to expose
         nothing from this rank).
         """
-        seq_key = ("win", comm._core.cid, comm._coll_seq)
+        seq_key = ("win", comm._tp.cid, comm._coll_seq)
         comm.barrier()  # consume a collective slot; sync arrival
-        core = comm._core.world.registry.get_or_create(
-            seq_key, lambda: _WinCore(comm.Get_size())
-        )
+        core = comm._tp.shared(seq_key, lambda: _WinCore(comm.Get_size()))
         rank = comm.Get_rank()
         if memory is not None:
             spec = parse_buffer(memory)

@@ -74,9 +74,10 @@ nbytes
 ``wait_exit``, cid, rank         the wait completed
 ===============================  =============================================
 
-``cid`` is the communicator context id (:attr:`CommCore.cid` on the
-threaded backend; process ranks use 0 — their COMM_WORLD is the only
-communicator with a user context).
+``cid`` is the communicator context id (``comm._tp.cid``): equal on every
+rank of one communicator.  COMM_WORLD's is 1 in a thread world and 0
+between forked ranks; a derived communicator's id is a function of its
+parent's and of the collective that made it.
 
 Two observer flavors share each seam:
 

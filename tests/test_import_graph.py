@@ -1,9 +1,11 @@
-"""What a course-server cold start imports, each case in a fresh interpreter.
+"""What a cold start and a forked child import, each case in a fresh interpreter.
 
 A served request touches the Runestone engine and the serving layer only,
 so booting ``CourseApp`` and answering every kind of learner and
 instructor request must load neither NumPy nor either parallel runtime;
-the package roots still resolve every name they re-export.
+the package roots still resolve every name they re-export.  A forked MPI
+rank running an exemplar kernel imports nothing the parent could have
+loaded before the fork.
 """
 
 from __future__ import annotations
@@ -79,6 +81,25 @@ print(json.dumps({
     "dir": sorted({"mpi", "mpirun", "serve"} - set(dir(repro))),
 }))
 """
+
+
+FOREST_FIRE_RANKS = """
+import json, sys
+from repro.exemplars.forestfire import burn_once
+from repro.mpi import run_procs
+
+def body(comm):
+    before = set(sys.modules)
+    burn_once(9, 0.6, comm.Get_rank())
+    return sorted(set(sys.modules) - before)
+
+print(json.dumps({"imported": run_procs(body, 2)}))
+"""
+
+
+class TestForkedRanks:
+    def test_forest_fire_ranks_import_nothing(self):
+        assert _python(FOREST_FIRE_RANKS) == {"imported": [[], []]}
 
 
 class TestServerColdStart:

@@ -7,6 +7,8 @@ import pytest
 from repro.mpi import MPI, Request
 from tests.conftest import spmd
 
+pytestmark = pytest.mark.usefixtures("mpi_backend")
+
 
 class TestModuleLevelAPI:
     def test_wtime_monotone(self):
@@ -102,12 +104,14 @@ class TestRequestUtilities:
 
 
 class TestProcessorName:
+    @pytest.mark.threads_only(reason="MPI.Get_processor_name resolves the calling thread's world")
     def test_inside_world_uses_simulated_hostname(self):
         def body(comm):
             return MPI.Get_processor_name()
 
         assert spmd(body, 2, hostname="pi-node") == ["pi-node"] * 2
 
+    @pytest.mark.threads_only(reason="the MPI.COMM_WORLD proxy resolves the calling thread's rank")
     def test_nested_helper_sees_comm_world(self):
         """Library code can use MPI.COMM_WORLD without plumbing comm."""
 

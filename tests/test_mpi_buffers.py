@@ -7,6 +7,8 @@ from repro.mpi import MPI
 from repro.mpi.buffers import parse_buffer, parse_vector_buffer
 from repro.mpi.errors import InvalidCountError
 
+pytestmark = pytest.mark.usefixtures("mpi_backend")
+
 
 class TestParseBuffer:
     def test_bare_array(self):

@@ -6,6 +6,8 @@ import pytest
 from repro.mpi import MAX, MAXLOC, MIN, MINLOC, MPI, PROD, SUM, Op
 from tests.conftest import spmd
 
+pytestmark = pytest.mark.usefixtures("mpi_backend")
+
 SIZES = [1, 2, 3, 4, 5, 7, 8]
 
 
@@ -47,13 +49,14 @@ class TestObjectCollectives:
         assert all(o is None for o in outs[1:])
 
     def test_scatter_wrong_length_raises(self):
-        from repro.mpi import RankFailedError
+        from repro.mpi import InvalidCountError, RankFailedError
 
         def body(comm):
             comm.scatter([1, 2, 3] if comm.Get_rank() == 0 else None, root=0)
 
-        with pytest.raises(RankFailedError):
+        with pytest.raises(RankFailedError) as exc_info:
             spmd(body, 2)
+        assert isinstance(exc_info.value.failures[0], InvalidCountError)
 
     @pytest.mark.parametrize("size", SIZES)
     def test_allgather(self, size):
@@ -146,6 +149,7 @@ class TestObjectCollectives:
         assert outs[0] is None
         assert outs[1:] == [sum(range(1, r + 1)) for r in range(1, size)]
 
+    @pytest.mark.threads_only(reason="the ranks append to one shared Python list")
     @pytest.mark.parametrize("size", SIZES)
     def test_barrier_orders_phases(self, size):
         import threading

@@ -6,6 +6,8 @@ from repro.mpi import SUM, Group, PROC_NULL, UNDEFINED
 from repro.mpi.cartesian import compute_dims
 from tests.conftest import spmd
 
+pytestmark = pytest.mark.usefixtures("mpi_backend")
+
 
 class TestSplit:
     def test_split_by_parity(self):
@@ -156,7 +158,7 @@ class TestCartesian:
             return coords
 
         outs = spmd(body, 6)
-        assert outs == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
+        assert outs == [[0, 0], [0, 1], [1, 0], [1, 1], [2, 0], [2, 1]]
 
     def test_shift_nonperiodic_boundaries_are_proc_null(self):
         def body(comm):
@@ -183,6 +185,32 @@ class TestCartesian:
             return None if cart is None else cart.Get_size()
 
         assert spmd(body, 4) == [2, 2, None, None]
+
+    def test_cart_rank_outside_a_nonperiodic_dimension_raises(self):
+        def body(comm):
+            cart = comm.Create_cart((2, 2), periods=(True, False))
+            wrapped = cart.Get_cart_rank([2, 1])  # periodic: wraps to row 0
+            try:
+                cart.Get_cart_rank([0, 2])
+            except ValueError:
+                return (wrapped, "refused")
+            return (wrapped, "wrapped")
+
+        assert spmd(body, 4) == [(1, "refused")] * 4
+
+    def test_messages_in_cart_do_not_leak_to_parent(self):
+        def body(comm):
+            rank = comm.Get_rank()
+            cart = comm.Create_cart((2,), periods=(False,))
+            if rank == 0:
+                cart.send("cart-message", dest=1, tag=3)
+            comm.barrier()
+            if rank == 1:
+                leaked = comm.iprobe(source=0, tag=3)
+                return (leaked, cart.recv(source=0, tag=3))
+            return None
+
+        assert spmd(body, 2)[1] == (False, "cart-message")
 
     def test_grid_too_large_raises(self):
         from repro.mpi import RankFailedError

@@ -90,7 +90,7 @@ def test_cartesian_coords_are_a_bijection(dims, periods_seed):
         return coords
 
     outs = spmd(body, nnodes)
-    assert len(set(outs)) == nnodes  # distinct coordinates per rank
+    assert len({tuple(c) for c in outs}) == nnodes  # distinct coordinates per rank
     for coords in outs:
         assert all(0 <= c < d for c, d in zip(coords, dims))
 

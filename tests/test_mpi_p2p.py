@@ -17,6 +17,8 @@ from repro.mpi import (
 )
 from tests.conftest import spmd
 
+pytestmark = pytest.mark.usefixtures("mpi_backend")
+
 
 class TestBlockingSendRecv:
     def test_object_roundtrip(self):
@@ -115,8 +117,19 @@ class TestBlockingSendRecv:
         def body(comm):
             comm.send(1, dest=0, tag=MPI.TAG_UB + 1)
 
-        with pytest.raises(RankFailedError):
+        with pytest.raises(RankFailedError) as exc_info:
             spmd(body, 1)
+        error = exc_info.value.failures[0]
+        assert isinstance(error, InvalidTagError)
+        assert f"0..{MPI.TAG_UB}" in str(error)
+
+    def test_negative_recv_tag_is_an_invalid_tag(self):
+        def body(comm):
+            comm.recv(source=0, tag=-5)
+
+        with pytest.raises(RankFailedError) as exc_info:
+            spmd(body, 1, deadlock_timeout=2.0)
+        assert isinstance(exc_info.value.failures[0], InvalidTagError)
 
 
 class TestNonblocking:
@@ -163,6 +176,7 @@ class TestNonblocking:
 
         assert spmd(body, 4)[0] == [100, 200, 300]
 
+    @pytest.mark.threads_only(reason="issend completes through a threading.Event")
     def test_issend_completes_only_when_matched(self):
         def body(comm):
             rank = comm.Get_rank()
@@ -286,6 +300,19 @@ class TestBufferP2P:
 
         assert spmd(body, 2)[1] == 56
 
+    def test_object_recv_of_a_buffer_send_is_a_type_error(self):
+        def body(comm):
+            if comm.Get_rank() == 0:
+                comm.Send(np.arange(3, dtype="i"), dest=1)
+            else:
+                comm.recv(source=0)
+
+        with pytest.raises(RankFailedError) as exc_info:
+            spmd(body, 2)
+        error = exc_info.value.failures[1]
+        assert isinstance(error, TypeError)
+        assert "uppercase" in str(error)
+
     def test_mixing_object_send_with_buffer_recv_raises(self):
         def body(comm):
             rank = comm.Get_rank()
@@ -309,6 +336,7 @@ class TestDeadlockDetection:
         with pytest.raises(DeadlockError):
             spmd(body, 2, deadlock_timeout=5.0)
 
+    @pytest.mark.threads_only(reason="ssend waits on a threading.Event")
     def test_ssend_without_receiver_deadlocks(self):
         def body(comm):
             if comm.Get_rank() == 0:
@@ -319,6 +347,7 @@ class TestDeadlockDetection:
         with pytest.raises(DeadlockError):
             spmd(body, 2, deadlock_timeout=5.0)
 
+    @pytest.mark.threads_only(reason="ssend waits on a threading.Event")
     def test_matched_ssend_completes(self):
         def body(comm):
             rank = comm.Get_rank()

@@ -208,6 +208,19 @@ class TestFailures:
         assert time.monotonic() - t0 < 1.0
         assert set(excinfo.value.failures) == {1}
 
+    def test_mpi_errors_cross_the_fork_intact(self):
+        from repro.mpi import InvalidRankError
+
+        def body(comm):
+            comm.send(1, dest=99)
+
+        with pytest.raises(RankFailedError) as excinfo:
+            _run(body, 2)
+        assert set(excinfo.value.failures) == {0, 1}
+        for error in excinfo.value.failures.values():
+            assert isinstance(error, InvalidRankError)
+            assert (error.rank, error.size) == (99, 2)
+
     def test_every_rank_timed_out_raises_deadlock(self):
         def body(comm):
             return comm.recv(source=ANY_SOURCE)

@@ -88,7 +88,7 @@ class TestWaitAttribution:
         assert lane.busy_s == 0.0
 
     def test_cross_category_overlap_does_not_go_negative(self):
-        """ProcComm collectives recv inside the collective span."""
+        """A collective's receives nest inside the collective span."""
         events = [
             mpi_ev(0.0, "coll_enter", 0, 0, "gather", proc=("rank", 0)),
             mpi_ev(1.0, "recv_enter", 0, 0, 1, 5, proc=("rank", 0)),

@@ -181,7 +181,8 @@ def _attach_cache_body(comm):
         return None
     for _ in range(5):
         comm.Recv(buf, source=0, tag=0)
-    return (comm._cache.hits, comm._cache.misses)
+    cache = comm._tp.edge.cache
+    return (cache.hits, cache.misses)
 
 
 @needs_fork
